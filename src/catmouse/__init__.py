@@ -16,11 +16,8 @@ from .cats import (
     StayCat,
     SweepCat,
     auto_thin_K,
-    baseline_cat,
-    fat_cat,
     parse_cat_spec,
     sqrt_cat,
-    thin_cat,
 )
 from .engine import (
     BeliefSet,
@@ -56,7 +53,6 @@ from .graphs import (
     ceil_sqrt,
     diameter,
     gen_cycle,
-    gen_family,
     gen_grid,
     gen_path,
     gen_random_tree,
@@ -75,10 +71,7 @@ from .mice import (
     ScriptedMouse,
     SpiderMouse,
     StationaryMouse,
-    baseline_mouse,
-    find_safe_branch,
     parse_mouse_spec,
-    spider_mouse,
 )
 from .solver import (
     SizeGuardError,

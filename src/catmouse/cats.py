@@ -19,6 +19,7 @@ from .graphs import (
     Graph,
     GraphError,
     ceil_sqrt,
+    parse_spec_fields,
     scattered_cover,
     sphere,
 )
@@ -311,11 +312,6 @@ class ScriptedCat(CatStrategy):
         (self._emitted,) = state
 
 
-def fat_cat(g: Graph, cover: BallCover, oracle: DistanceOracle | None = None) -> BallCoverCat:
-    """Ball-cover elimination cat over an explicit cover."""
-    return BallCoverCat(g, cover, oracle)
-
-
 def auto_thin_K(g: Graph, oracle: DistanceOracle | None = None) -> int:
     """Smallest K of the form max(ceil(3*sqrt(n)), minimal valid) so the
     sphere-walk cat is always constructible."""
@@ -325,11 +321,6 @@ def auto_thin_K(g: Graph, oracle: DistanceOracle | None = None) -> int:
     levels = oracle.thin_levels(cap)
     needed = int(levels.max()) + 1
     return max(K, needed)
-
-
-def thin_cat(g: Graph, K: int, oracle: DistanceOracle | None = None) -> SphereWalkCat:
-    """Sphere-walk cat; K must admit a thin level for every vertex."""
-    return SphereWalkCat(g, K, oracle)
 
 
 def sqrt_cat(g: Graph, oracle: DistanceOracle | None = None) -> BallCoverCat:
@@ -348,14 +339,18 @@ def sqrt_cat(g: Graph, oracle: DistanceOracle | None = None) -> BallCoverCat:
     return cat
 
 
-def baseline_cat(kind: str, g: Graph, seed: int = 0) -> CatStrategy:
-    if kind == "sweep":
-        return SweepCat(g)
-    if kind == "stay":
-        return StayCat(g)
-    if kind == "fixed_seed_random":
-        return SeededRandomCat(g, seed)
-    raise GraphError(f"unknown baseline cat {kind!r}")
+def _fat_c(val: str) -> str:
+    """The fat cat's c, checked finite and positive but kept as written,
+    because the cat's spec string repeats it verbatim."""
+    c = float(val)
+    if not (math.isfinite(c) and c > 0):
+        raise ValueError(val)
+    return val
+
+
+def _thin_K(val: str) -> int | str:
+    """The thin cat's K: "auto" or an integer."""
+    return val if val == "auto" else int(val)
 
 
 def parse_cat_spec(
@@ -366,45 +361,29 @@ def parse_cat_spec(
 ) -> CatStrategy:
     """Build a cat from its CLI spec string.
 
-    Forms: "sqrt", "sweep", "stay", "rand:seed=7", "fat:c=2.83",
-    "thin:K=auto" / "thin:K=12".
+    Forms: "sqrt", "sweep", "stay", "rand" / "rand:seed=7", "fat:c=2.83",
+    "thin:K=auto" / "thin:K=12".  A bare "rand" uses `default_seed`.
     """
     oracle = oracle or DistanceOracle(g)
     kind, _, rest = spec.partition(":")
     kind = kind.strip()
-    rest = rest.strip()
-    if kind == "sqrt":
-        return sqrt_cat(g, oracle)
-    if kind == "sweep":
-        return SweepCat(g)
-    if kind == "stay":
-        return StayCat(g)
+    if kind in ("sqrt", "sweep", "stay"):
+        parse_spec_fields(spec, rest, {})
+        if kind == "sqrt":
+            return sqrt_cat(g, oracle)
+        return SweepCat(g) if kind == "sweep" else StayCat(g)
     if kind == "rand":
-        seed = default_seed
-        if rest:
-            key, _, val = rest.partition("=")
-            if key.strip() != "seed":
-                raise GraphError(f"bad cat spec {spec!r}")
-            seed = int(val)
-        cat = SeededRandomCat(g, seed)
-        return cat
+        fields = parse_spec_fields(spec, rest, {"seed": (int, default_seed)})
+        return SeededRandomCat(g, fields["seed"])
     if kind == "fat":
-        key, _, val = rest.partition("=")
-        if key.strip() != "c" or not val:
-            raise GraphError(f"fat cat spec needs c=<float>, got {spec!r}")
-        c = float(val)
-        if c <= 0:
-            raise GraphError(f"fat cat needs c > 0, got {c}")
-        separation = max(1, math.ceil(c * math.sqrt(g.n)))
+        val = parse_spec_fields(spec, rest, {"c": (_fat_c, None)})["c"]
+        separation = max(1, math.ceil(float(val) * math.sqrt(g.n)))
         cat = BallCoverCat(g, scattered_cover(g, separation, oracle), oracle)
         cat.spec = f"fat:c={val}"
         return cat
     if kind == "thin":
-        key, _, val = rest.partition("=")
-        if key.strip() != "K" or not val:
-            raise GraphError(f"thin cat spec needs K=auto or K=<int>, got {spec!r}")
-        K = auto_thin_K(g, oracle) if val == "auto" else int(val)
-        cat = SphereWalkCat(g, K, oracle)
-        cat.spec = f"thin:K={val}"
+        K = parse_spec_fields(spec, rest, {"K": (_thin_K, None)})["K"]
+        cat = SphereWalkCat(g, auto_thin_K(g, oracle) if K == "auto" else K, oracle)
+        cat.spec = f"thin:K={K}"
         return cat
     raise GraphError(f"unknown cat spec {spec!r}")

@@ -130,6 +130,20 @@ def _cmd_cover(args) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="catmouse",
@@ -146,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--cat", required=True)
     p.add_argument("--mouse", required=True)
-    p.add_argument("--horizon", type=int, required=True)
+    p.add_argument("--horizon", type=positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--track-belief", action="store_true")
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -167,8 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("minimax", help="exhaustive game value on a tiny instance")
     p.add_argument("--graph", required=True)
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--distance", type=int, required=True)
+    p.add_argument("--horizon", type=positive_int, required=True)
+    p.add_argument("--distance", type=non_negative_int, required=True)
     p.set_defaults(fn=_cmd_minimax)
 
     p = sub.add_parser("cover", help="emit a scattered ball cover as JSON")

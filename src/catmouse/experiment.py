@@ -16,7 +16,15 @@ from dataclasses import dataclass, field
 
 from .cats import parse_cat_spec
 from .engine import GameError, localization_report, run_game
-from .graphs import DistanceOracle, Graph, GraphError, ceil_sqrt, parse_graph_spec
+from .graphs import (
+    SPIDER_FIELDS,
+    DistanceOracle,
+    Graph,
+    GraphError,
+    ceil_sqrt,
+    parse_graph_spec,
+    parse_spec_fields,
+)
 from .mice import parse_mouse_spec
 
 CSV_COLUMNS = (
@@ -132,6 +140,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if not seeds:
             problems.append("field 'seeds': must list at least one seed")
     repetitions = intval("repetitions", 1)
+    if repetitions < 1:
+        problems.append(f"field 'repetitions': must be >= 1, got {repetitions}")
     bound_kind = fields.get("bound_kind", "upper")
     if bound_kind not in ("upper", "lower"):
         problems.append(f"field 'bound_kind': must be upper or lower, got {bound_kind!r}")
@@ -171,17 +181,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
     )
 
 
-def _spider_t(graph_spec: str) -> int:
-    kind, _, rest = graph_spec.partition(":")
-    if kind.strip() != "spider":
-        raise GraphError("tOver12 bound needs a spider graph spec")
-    for part in rest.split(","):
-        key, _, val = part.partition("=")
-        if key.strip() == "t":
-            return int(val)
-    raise GraphError(f"cannot read t from graph spec {graph_spec!r}")
-
-
 def resolve_bound(tag: int | str | None, g: Graph, cat, cfg: ExperimentConfig) -> int | None:
     """Resolve a bound tag to an integer, rounding square roots up."""
     if tag is None or isinstance(tag, int):
@@ -202,7 +201,10 @@ def resolve_bound(tag: int | str | None, g: Graph, cat, cfg: ExperimentConfig) -
             raise GraphError("threeHalvesK bound needs a sphere-walk cat")
         return (3 * K + 1) // 2
     if tag == "tOver12":
-        return _spider_t(cfg.graph) // 12
+        kind, _, rest = cfg.graph.partition(":")
+        if kind.strip() != "spider":
+            raise GraphError("tOver12 bound needs a spider graph spec")
+        return parse_spec_fields(cfg.graph, rest, SPIDER_FIELDS)["t"] // 12
     raise GraphError(f"unknown bound tag {tag!r}")
 
 
@@ -309,6 +311,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Report:
         raise GraphError("experiment needs a non-empty seeds list")
     if cfg.horizon < 1:
         raise GraphError(f"experiment horizon must be >= 1, got {cfg.horizon}")
+    if cfg.repetitions < 1:
+        raise GraphError(f"experiment repetitions must be >= 1, got {cfg.repetitions}")
     g, graph_spec = parse_graph_spec(cfg.graph)
     oracle = DistanceOracle(g)
     probe_cat = parse_cat_spec(cfg.cat, g, oracle, default_seed=0)

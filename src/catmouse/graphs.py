@@ -180,6 +180,8 @@ class DistanceOracle:
 
     def row(self, v: int) -> np.ndarray:
         """Distance row from v (read-only)."""
+        if not (0 <= v < self.graph.n):
+            raise GraphError(f"source {v} out of range for n={self.graph.n}")
         mat = self._matrix
         if mat is not None:
             return mat[v]
@@ -459,19 +461,45 @@ def gen_random_tree(n: int, seed: int) -> Graph:
     return Graph(n, [(rng.randrange(v), v) for v in range(1, n)])
 
 
-def gen_family(kind: str, params: dict, seed: int | None = None) -> Graph:
-    """Dispatch generator for the benchmark families."""
-    if kind == "path":
-        return gen_path(int(params["n"]))
-    if kind == "cycle":
-        return gen_cycle(int(params["n"]))
-    if kind == "grid":
-        return gen_grid(int(params["rows"]), int(params["cols"]))
-    if kind == "random_tree":
-        if seed is None:
-            seed = int(params["seed"])
-        return gen_random_tree(int(params["n"]), seed)
-    raise GraphError(f"unknown graph family {kind!r}")
+def parse_spec_fields(spec: str, rest: str, fields: dict) -> dict:
+    """Fields of the "k=v,k=v" text `rest` that follows "kind:" in `spec`.
+
+    `fields` maps each allowed key to (converter, default); a default of None
+    makes the key required, and an empty map means the kind takes no fields.
+    A converter raises ValueError on a value it rejects.  Every malformed
+    field raises GraphError naming the field and the whole spec.
+    """
+    out = {}
+    rest = rest.strip()
+    for part in rest.split(",") if rest else ():
+        key, sep, val = part.partition("=")
+        key = key.strip()
+        if not sep:
+            raise GraphError(f"spec {spec!r}: field {part.strip()!r} is not key=value")
+        if key not in fields:
+            allowed = ", ".join(fields) or "no fields"
+            raise GraphError(
+                f"spec {spec!r}: unknown field {key!r} (allowed: {allowed})"
+            )
+        if key in out:
+            raise GraphError(f"spec {spec!r}: field {key!r} given twice")
+        if not val.strip():
+            raise GraphError(f"spec {spec!r}: field {key!r} is empty")
+        try:
+            out[key] = fields[key][0](val)
+        except ValueError:
+            raise GraphError(
+                f"spec {spec!r}: bad value {val!r} for field {key!r}"
+            ) from None
+    for key, (_, default) in fields.items():
+        if key not in out:
+            if default is None:
+                raise GraphError(f"spec {spec!r}: missing field {key!r}")
+            out[key] = default
+    return out
+
+
+SPIDER_FIELDS = {"t": (int, None), "extra": (int, 0)}
 
 
 _GRID_RE = re.compile(r"^(\d+)x(\d+)$")
@@ -480,40 +508,17 @@ _GRID_RE = re.compile(r"^(\d+)x(\d+)$")
 def parse_graph_spec(spec: str) -> tuple[Graph, str]:
     """Build a graph from a compact spec string.
 
-    Supported forms: "path:5" / "path:n=5", "cycle:10", "grid:3x4",
-    "rt:n=100,seed=7", "spider:t=12,extra=0", "file:PATH".
+    Supported forms: "path:5" / "path:n=5", "cycle:10" / "cycle:n=10",
+    "grid:3x4", "rt:n=100,seed=7", "spider:t=12,extra=0", "file:PATH".
     Returns (graph, canonical spec string).
     """
     kind, _, rest = spec.partition(":")
     kind = kind.strip()
     rest = rest.strip()
-
-    def kv(defaults: dict[str, int]) -> dict[str, int]:
-        out = dict(defaults)
-        if rest:
-            for part in rest.split(","):
-                key, sep, val = part.partition("=")
-                key = key.strip()
-                if sep == "" or key not in out:
-                    raise GraphError(f"bad graph spec field {part!r} in {spec!r}")
-                try:
-                    out[key] = int(val)
-                except ValueError:
-                    raise GraphError(
-                        f"bad graph spec value {part!r} in {spec!r}"
-                    ) from None
-        return out
-
     if kind in ("path", "cycle"):
-        raw = rest
-        if "=" in rest:
-            key, _, raw = rest.partition("=")
-            if key.strip() != "n":
-                raise GraphError(f"bad graph spec field {rest!r} in {spec!r}")
-        try:
-            n = int(raw)
-        except ValueError:
-            raise GraphError(f"bad vertex count {raw!r} in {spec!r}") from None
+        n = parse_spec_fields(
+            spec, rest if "=" in rest else f"n={rest}", {"n": (int, None)}
+        )["n"]
         g = gen_path(n) if kind == "path" else gen_cycle(n)
         return g, f"{kind}:n={n}"
     if kind == "grid":
@@ -523,12 +528,11 @@ def parse_graph_spec(spec: str) -> tuple[Graph, str]:
         rows, cols = int(m.group(1)), int(m.group(2))
         return gen_grid(rows, cols), f"grid:{rows}x{cols}"
     if kind == "rt":
-        params = kv({"n": 0, "seed": 0})
+        params = parse_spec_fields(spec, rest, {"n": (int, None), "seed": (int, 0)})
         g = gen_random_tree(params["n"], params["seed"])
         return g, f"rt:n={params['n']},seed={params['seed']}"
     if kind == "spider":
-        params = kv({"t": 0, "extra": 0})
-        sp = SpiderSpec(params["t"], params["extra"])
+        sp = SpiderSpec(**parse_spec_fields(spec, rest, SPIDER_FIELDS))
         return gen_spider(sp), sp.spec_string()
     if kind == "file":
         with open(rest, "r", encoding="utf-8") as fh:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 
 from .engine import GameView, MouseStrategy
-from .graphs import GraphError, SpiderSpec, gen_spider
+from .graphs import GraphError, SpiderSpec, gen_spider, parse_spec_fields
 
 
 class DepthPlan:
@@ -131,50 +131,6 @@ def _queried_branches(spider, queries) -> set[int]:
         if b is not None:
             out.add(b)
     return out
-
-
-def find_safe_branch(
-    spider: SpiderSpec,
-    cat,
-    bits_so_far=(),
-    window: int = 0,
-    excluded=frozenset(),
-    plan: DepthPlan | None = None,
-) -> int:
-    """Lowest main branch the simulated cat will not query in the window.
-
-    A clone of the cat is replayed through `bits_so_far` and then fed the
-    bits the planned depth trajectory generates over the next `window`
-    queries; any branch those queries touch, the padding branch, and
-    `excluded` are all avoided.  With no bits the window starts at the cat's
-    very first query.
-    """
-    if not (0 <= window < spider.t):
-        raise GraphError(f"window must be in [0, t), got {window} with t={spider.t}")
-    if len(excluded) + window >= spider.t:
-        raise GraphError(
-            f"|excluded| + window must stay below t to guarantee a safe branch "
-            f"({len(excluded)} + {window} >= {spider.t})"
-        )
-    plan = plan.copy() if plan is not None else DepthPlan(spider.t)
-    clone = cat.clone()
-    entry_bit = None
-    at_start = True
-    if bits_so_far:
-        clone.first_query()
-        clone.next_query(None)
-        for b in bits_so_far[:-1]:
-            clone.next_query(b)
-        entry_bit = bits_so_far[-1]
-        at_start = False
-    queries = _simulate_queries(spider, clone, plan, window, entry_bit, at_start)
-    blocked = _queried_branches(spider, queries) | set(excluded)
-    for b in range(1, spider.t + 1):
-        if b not in blocked:
-            return b
-    raise AssertionError(
-        f"no safe branch: {len(blocked)} of {spider.t} branches blocked"
-    )
 
 
 class SpiderMouse(MouseStrategy):
@@ -291,11 +247,6 @@ class SpiderMouse(MouseStrategy):
         return self._m_vertex()
 
 
-def spider_mouse(t: int) -> SpiderMouse:
-    """Adversarial evader for gen_spider(t, extra) graphs."""
-    return SpiderMouse(t)
-
-
 class StationaryMouse(MouseStrategy):
     """Sits on a seed-derived vertex forever."""
 
@@ -374,16 +325,6 @@ class ScriptedMouse(MouseStrategy):
         return self.path[idx]
 
 
-def baseline_mouse(kind: str, seed: int = 0) -> MouseStrategy:
-    if kind == "stationary":
-        return StationaryMouse(seed)
-    if kind == "random_walk":
-        return RandomWalkMouse(seed)
-    if kind == "greedy_away":
-        return GreedyAwayMouse(seed)
-    raise GraphError(f"unknown baseline mouse {kind!r}")
-
-
 def parse_mouse_spec(spec: str, default_seed: int = 0) -> MouseStrategy:
     """Build a mouse from its CLI spec string.
 
@@ -393,25 +334,13 @@ def parse_mouse_spec(spec: str, default_seed: int = 0) -> MouseStrategy:
     """
     kind, _, rest = spec.partition(":")
     kind = kind.strip()
-    rest = rest.strip()
-
-    def seed_of() -> int:
-        if not rest:
-            return default_seed
-        key, _, val = rest.partition("=")
-        if key.strip() != "seed" or not val:
-            raise GraphError(f"bad mouse spec {spec!r}")
-        return int(val)
-
     if kind == "spider":
-        key, _, val = rest.partition("=")
-        if key.strip() != "t" or not val:
-            raise GraphError(f"spider mouse spec needs t=<int>, got {spec!r}")
-        return SpiderMouse(int(val))
-    if kind == "stationary":
-        return StationaryMouse(seed_of())
-    if kind == "rw":
-        return RandomWalkMouse(seed_of())
-    if kind == "greedy":
-        return GreedyAwayMouse(seed_of())
-    raise GraphError(f"unknown mouse spec {spec!r}")
+        return SpiderMouse(parse_spec_fields(spec, rest, {"t": (int, None)})["t"])
+    seeded = {
+        "stationary": StationaryMouse,
+        "rw": RandomWalkMouse,
+        "greedy": GreedyAwayMouse,
+    }.get(kind)
+    if seeded is None:
+        raise GraphError(f"unknown mouse spec {spec!r}")
+    return seeded(parse_spec_fields(spec, rest, {"seed": (int, default_seed)})["seed"])

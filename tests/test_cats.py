@@ -270,18 +270,20 @@ class TestBitHistoryDeterminism:
 
 class TestFactories:
     def test_fat_and_thin_and_baseline(self):
-        from catmouse.cats import baseline_cat, fat_cat, thin_cat
-
         g = gen_cycle(30)
         oracle = DistanceOracle(g)
-        cover = scattered_cover(g, 5, oracle)
-        assert fat_cat(g, cover, oracle).cover is cover
-        assert thin_cat(g, 10, oracle).K == 10
-        assert baseline_cat("sweep", g).spec == "sweep"
-        assert baseline_cat("stay", g).spec == "stay"
-        assert baseline_cat("fixed_seed_random", g, seed=4).seed == 4
-        with pytest.raises(GraphError):
-            baseline_cat("psychic", g)
+        fat = parse_cat_spec("fat:c=0.50", g, oracle)
+        assert fat.cover == scattered_cover(g, 3, oracle)  # ceil(0.50 * sqrt(30))
+        assert fat.spec == "fat:c=0.50"
+        thin = parse_cat_spec("thin:K=10", g, oracle)
+        assert isinstance(thin, SphereWalkCat) and thin.K == 10
+        assert thin.spec == "thin:K=10"
+        assert isinstance(parse_cat_spec("sweep", g), SweepCat)
+        assert isinstance(parse_cat_spec("stay", g), StayCat)
+        rand = parse_cat_spec("rand:seed=4", g)
+        assert isinstance(rand, SeededRandomCat) and rand.seed == 4
+        with pytest.raises(GraphError, match="psychic"):
+            parse_cat_spec("psychic", g)
 
 
 class TestParseCatSpec:
@@ -304,6 +306,23 @@ class TestParseCatSpec:
 
     def test_bad_specs(self):
         g = gen_path(10)
-        for spec in ("fat", "fat:k=2", "thin", "thin:K=", "warp", "rand:x=1"):
-            with pytest.raises(GraphError):
+        for spec, field in (
+            ("fat", "'c'"),
+            ("fat:k=2", "'k'"),
+            ("thin", "'K'"),
+            ("thin:K=", "'K'"),
+            ("warp", "warp"),
+            ("rand:x=1", "'x'"),
+            ("rand:seed=x", "'seed'"),
+            ("thin:K=abc", "'K'"),
+            ("fat:c=nan", "'c'"),
+            ("fat:c=inf", "'c'"),
+            ("fat:c=0", "'c'"),
+            ("fat:c=-1.5", "'c'"),
+            ("rand:seed=1,seed=2", "'seed'"),
+            ("sqrt:x=1", "'x'"),
+            ("stay:K=1", "'K'"),
+            ("sweep:fast", "'fast'"),
+        ):
+            with pytest.raises(GraphError, match=field):
                 parse_cat_spec(spec, g)

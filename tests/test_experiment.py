@@ -71,6 +71,15 @@ class TestConfigParsing:
         with pytest.raises(GraphError, match="seed"):
             parse_config_text(text)
 
+    @pytest.mark.parametrize("repetitions", [0, -2])
+    def test_repetitions_below_one_rejected(self, repetitions):
+        text = (
+            "graph: path:n=5\ncat: sweep\nmouse: stationary\n"
+            f"horizon: 4\nseeds: 1\nrepetitions: {repetitions}\n"
+        )
+        with pytest.raises(GraphError, match="repetitions"):
+            parse_config_text(text)
+
     def test_bad_bound_tag(self):
         text = (
             "graph: path:n=5\ncat: sweep\nmouse: stationary\n"
@@ -146,6 +155,23 @@ class TestRunExperiment:
         with pytest.raises(GraphError, match="seed"):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize("repetitions", [0, -2])
+    def test_repetitions_below_one_rejected(self, repetitions):
+        cfg = ExperimentConfig(
+            graph="path:n=5", cat="sweep", mouse="stationary",
+            horizon=3, seeds=(1,), repetitions=repetitions,
+        )
+        with pytest.raises(GraphError, match="repetitions"):
+            run_experiment(cfg)
+
+    def test_malformed_mouse_spec_raises(self):
+        cfg = ExperimentConfig(
+            graph="path:n=5", cat="sweep", mouse="rw:seed=z",
+            horizon=3, seeds=(1,),
+        )
+        with pytest.raises(GraphError, match="'seed'"):
+            run_experiment(cfg)
+
     def test_runtime_violation_fails_row_not_process(self):
         # spider evader on a non-spider graph: the row fails with a note
         cfg = ExperimentConfig(
@@ -195,7 +221,74 @@ class TestRunExperiment:
         assert len({r.repetition for r in report.rows}) == 3
 
 
+def _simulate(cat="sweep", mouse="stationary", horizon="5"):
+    return [
+        "simulate", "--graph", "path:n=9", "--cat", cat,
+        "--mouse", mouse, "--horizon", horizon,
+    ]
+
+
+_CONFIG = (
+    "graph: path:n=9\ncat: {cat}\nmouse: {mouse}\nhorizon: 4\n"
+    "seeds: 1\nrepetitions: {repetitions}\nbound_d: 10\nbound_t: 4\n"
+)
+
+
+def _config(cat="sweep", mouse="stationary", repetitions=1):
+    return ["experiment", _CONFIG.format(cat=cat, mouse=mouse, repetitions=repetitions)]
+
+
+USAGE_ERRORS = [
+    pytest.param(argv, field, id=name)
+    for name, argv, field in (
+        ("cat rand:seed=x", _simulate(cat="rand:seed=x"), "'seed'"),
+        ("cat thin:K=abc", _simulate(cat="thin:K=abc"), "'K'"),
+        ("cat fat:c=nan", _simulate(cat="fat:c=nan"), "'c'"),
+        ("cat fat:c=inf", _simulate(cat="fat:c=inf"), "'c'"),
+        ("cat rand:seed=1,seed=2", _simulate(cat="rand:seed=1,seed=2"), "'seed'"),
+        ("mouse rw:seed=q", _simulate(mouse="rw:seed=q"), "'seed'"),
+        ("mouse spider:t=x", _simulate(mouse="spider:t=x"), "'t'"),
+        ("mouse greedy:seed=1,extra=2", _simulate(mouse="greedy:seed=1,extra=2"), "'extra'"),
+        ("cat sqrt:x=1", _simulate(cat="sqrt:x=1"), "'x'"),
+        ("cat stay:K=1", _simulate(cat="stay:K=1"), "'K'"),
+        ("gen spider:t=3,t=4", ["gen", "--spec", "spider:t=3,t=4"], "'t'"),
+        ("simulate horizon 0", _simulate(horizon="0"), "--horizon"),
+        ("simulate horizon -3", _simulate(horizon="-3"), "--horizon"),
+        (
+            "minimax horizon 0",
+            ["minimax", "--graph", "path:n=3", "--horizon", "0", "--distance", "1"],
+            "--horizon",
+        ),
+        (
+            "minimax distance -1",
+            ["minimax", "--graph", "path:n=3", "--horizon", "4", "--distance", "-1"],
+            "--distance",
+        ),
+        ("config repetitions 0", _config(repetitions=0), "'repetitions'"),
+        ("config repetitions -2", _config(repetitions=-2), "'repetitions'"),
+        ("config mouse rw:seed=z", _config(mouse="rw:seed=z"), "'seed'"),
+        ("config cat fat:c=0", _config(cat="fat:c=0"), "'c'"),
+    )
+]
+
+
 class TestCli:
+    @pytest.mark.parametrize("argv, field", USAGE_ERRORS)
+    def test_usage_errors_name_the_field(self, argv, field, tmp_path, capsys):
+        if argv[0] == "experiment":
+            cfg = tmp_path / "exp.cfg"
+            cfg.write_text(argv[1])
+            argv = ["experiment", "--config", str(cfg)]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert code == 2
+        assert len(errors) == 1 and field in errors[0]
+        assert "Traceback" not in err
+
     def test_gen_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "g.txt"
         assert main(["gen", "--spec", "grid:3x3", "--out", str(out)]) == 0

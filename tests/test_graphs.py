@@ -322,20 +322,28 @@ class TestGenerators:
         assert g.n == 100
         g, _ = parse_graph_spec("path:5")
         assert g.n == 5
-        for bad in ("torus:3x3", "path:x=5", "path:", "rt:n=ten,seed=1", "spider:q=2"):
-            with pytest.raises(GraphError):
+        for bad, field in (
+            ("torus:3x3", "torus"),
+            ("path:x=5", "'x'"),
+            ("path:", "'n'"),
+            ("rt:n=ten,seed=1", "'n'"),
+            ("spider:q=2", "'q'"),
+            ("spider:t=3,t=4", "'t'"),
+            ("spider:extra=1", "'t'"),
+            ("rt:n=30,seed=2,", "''"),
+            ("cycle:n=10,n=11", "'n'"),
+        ):
+            with pytest.raises(GraphError, match=field):
                 parse_graph_spec(bad)
 
-    def test_gen_family_dispatch(self):
-        from catmouse.graphs import gen_family
-
-        assert gen_family("path", {"n": 5}) == gen_path(5)
-        assert gen_family("cycle", {"n": 6}) == gen_cycle(6)
-        assert gen_family("grid", {"rows": 3, "cols": 3}) == gen_grid(3, 3)
-        assert gen_family("random_tree", {"n": 30, "seed": 2}) == gen_random_tree(30, 2)
-        assert gen_family("random_tree", {"n": 30}, seed=2) == gen_random_tree(30, 2)
+    def test_spec_dispatches_to_generators(self):
+        assert parse_graph_spec("path:n=5") == (gen_path(5), "path:n=5")
+        assert parse_graph_spec("cycle:6") == (gen_cycle(6), "cycle:n=6")
+        assert parse_graph_spec("grid:3x3") == (gen_grid(3, 3), "grid:3x3")
+        assert parse_graph_spec("rt:n=30,seed=2") == (gen_random_tree(30, 2), "rt:n=30,seed=2")
+        assert parse_graph_spec("rt:n=30") == (gen_random_tree(30, 0), "rt:n=30,seed=0")
         with pytest.raises(GraphError):
-            gen_family("hypercube", {"n": 8})
+            parse_graph_spec("hypercube:n=8")
 
 
 class TestEdgeListIO:
@@ -401,7 +409,14 @@ class TestDistanceOracle:
         g = gen_grid(4, 4)
         lazy = DistanceOracle(g)
         rows = [lazy.row(v).copy() for v in range(g.n)]
+        # Ids out of range fail alike before and after the matrix exists.
+        for v in (-1, g.n):
+            with pytest.raises(GraphError, match=f"source {v} out of range"):
+                lazy.distance(v, 0)
         assert np.array_equal(np.stack(rows), lazy.full_matrix())
+        for v in (-1, g.n):
+            with pytest.raises(GraphError, match=f"source {v} out of range"):
+                lazy.distance(v, 0)
 
     def test_full_matrix_threshold(self):
         g = gen_path(20)

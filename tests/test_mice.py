@@ -26,7 +26,8 @@ from catmouse.mice import (
     ScriptedMouse,
     SpiderMouse,
     StationaryMouse,
-    find_safe_branch,
+    _queried_branches,
+    _simulate_queries,
     parse_mouse_spec,
 )
 
@@ -45,44 +46,46 @@ def spider_run(cat, horizon=120, t=T, extra=0, track=True):
     return spec, g, oracle, mouse, tr
 
 
+def safe_branch(cat, window, excluded=frozenset()):
+    """The evader's branch choice at game start: simulate a clone of `cat`
+    over `window` queries, then take the lowest branch neither queried nor
+    excluded."""
+    queries = _simulate_queries(SPIDER, cat.clone(), DepthPlan(T), window, None, True)
+    blocked = _queried_branches(SPIDER, queries) | set(excluded)
+    return SpiderMouse(T)._lowest_free(blocked)
+
+
 class TestFindSafeBranch:
+    """The evader's lookahead (`_simulate_queries`) plus its lowest-free-branch
+    choice (`SpiderMouse._lowest_free`)."""
+
     def test_sweep_at_time_zero(self):
         # Sweep touches the center then branch 1's low ids during an 8-step
         # window, so branch 2 is the lowest untouched one under the
         # contiguous id layout.
-        cat = SweepCat(GS)
-        assert find_safe_branch(SPIDER, cat, (), window=8) == 2
+        assert safe_branch(SweepCat(GS), window=8) == 2
 
     def test_stay_cat_blocks_nothing(self):
-        assert find_safe_branch(SPIDER, StayCat(GS), (), window=8) == 1
+        assert safe_branch(StayCat(GS), window=8) == 1
 
     def test_window_zero(self):
-        assert find_safe_branch(SPIDER, SweepCat(GS), (), window=0) == 1
-        assert find_safe_branch(SPIDER, SweepCat(GS), (), window=0, excluded={1}) == 2
+        assert safe_branch(SweepCat(GS), window=0) == 1
+        assert safe_branch(SweepCat(GS), window=0, excluded={1}) == 2
 
     def test_excluded_branches_skipped(self):
-        cat = StayCat(GS)
-        assert find_safe_branch(SPIDER, cat, (), window=4, excluded={1, 2, 3}) == 4
+        assert safe_branch(StayCat(GS), window=4, excluded={1, 2, 3}) == 4
 
     def test_simulation_does_not_mutate_the_cat(self):
         cat = SweepCat(GS)
-        find_safe_branch(SPIDER, cat, (), window=8)
+        safe_branch(cat, window=8)
         assert cat.first_query() == 0
 
     def test_window_preconditions(self):
-        with pytest.raises(GraphError):
-            find_safe_branch(SPIDER, StayCat(GS), (), window=12)
-        with pytest.raises(GraphError):
-            find_safe_branch(SPIDER, StayCat(GS), (), window=8, excluded=set(range(1, 5)))
-
-    def test_mid_game_resume_from_bit_record(self):
-        # Replaying two delivered bits positions the clone after its third
-        # query, so an 8-query window covers sweep's ids 3..10 (branch 1).
-        plan = DepthPlan(T)
-        for dc in (0, 1, 2):
-            plan.advance(dc)
-        branch = find_safe_branch(SPIDER, SweepCat(GS), (1, 1), window=8, plan=plan)
-        assert branch == 2
+        # The choice ranges over main branches 1..t only, so it fails exactly
+        # when every one of them is blocked.
+        assert safe_branch(StayCat(GS), window=4, excluded=range(1, T)) == T
+        with pytest.raises(AssertionError, match="no safe branch"):
+            safe_branch(StayCat(GS), window=4, excluded=range(1, T + 1))
 
 
 class TestSpiderMouseStageArithmetic:
@@ -267,14 +270,16 @@ class TestBaselineMice:
 
 class TestFactories:
     def test_spider_and_baseline(self):
-        from catmouse.mice import baseline_mouse, spider_mouse
-
-        assert spider_mouse(12).t == 12
-        assert baseline_mouse("stationary", 3).seed == 3
-        assert baseline_mouse("random_walk", 4).seed == 4
-        assert baseline_mouse("greedy_away").seed == 0
-        with pytest.raises(GraphError):
-            baseline_mouse("telepath")
+        for spec, cls, attr, value in (
+            ("spider:t=12", SpiderMouse, "t", 12),
+            ("stationary:seed=3", StationaryMouse, "seed", 3),
+            ("rw:seed=4", RandomWalkMouse, "seed", 4),
+            ("greedy", GreedyAwayMouse, "seed", 0),
+        ):
+            mouse = parse_mouse_spec(spec)
+            assert type(mouse) is cls and getattr(mouse, attr) == value
+        with pytest.raises(GraphError, match="telepath"):
+            parse_mouse_spec("telepath")
 
 
 class TestParseMouseSpec:
@@ -289,6 +294,17 @@ class TestParseMouseSpec:
         assert parse_mouse_spec("rw", default_seed=17).seed == 17
 
     def test_bad_specs(self):
-        for spec in ("spider", "spider:x=1", "sloth", "rw:k=2"):
-            with pytest.raises(GraphError):
+        for spec, field in (
+            ("spider", "'t'"),
+            ("spider:x=1", "'x'"),
+            ("sloth", "sloth"),
+            ("rw:k=2", "'k'"),
+            ("rw:seed=q", "'seed'"),
+            ("spider:t=x", "'t'"),
+            ("spider:t=12,t=24", "'t'"),
+            ("greedy:seed=1,extra=2", "'extra'"),
+            ("stationary:seed=", "'seed'"),
+            ("rw:seed", "'seed'"),
+        ):
+            with pytest.raises(GraphError, match=field):
                 parse_mouse_spec(spec)
