@@ -51,7 +51,6 @@ from .graphs import (
     SpiderSpec,
     bfs_distances,
     ceil_sqrt,
-    diameter,
     gen_cycle,
     gen_grid,
     gen_path,
@@ -60,7 +59,6 @@ from .graphs import (
     parse_graph,
     parse_graph_spec,
     scattered_cover,
-    set_radius,
     sphere,
     thin_level,
     write_graph,

@@ -260,10 +260,10 @@ class SeededRandomCat(CatStrategy):
         self.seed = seed
         self.spec = f"rand:seed={seed}"
         self._emitted = 0
-        self._bits: tuple[int, ...] = ()
+        self._bits = ""  # the bit history as digits, so a query hashes it as is
 
     def _derive(self, t: int) -> int:
-        payload = f"{self.seed}|{t}|{''.join(map(str, self._bits))}"
+        payload = f"{self.seed}|{t}|{self._bits}"
         digest = hashlib.sha256(payload.encode()).digest()
         return int.from_bytes(digest[:8], "big") % self.n
 
@@ -273,7 +273,7 @@ class SeededRandomCat(CatStrategy):
 
     def next_query(self, bit: int | None) -> int:
         if bit is not None:
-            self._bits = self._bits + (bit,)
+            self._bits += str(bit)
         self._emitted += 1
         return self._derive(self._emitted)
 

@@ -94,6 +94,7 @@ def _cmd_verify(args) -> int:
                 "name": r.name,
                 "pass": r.ok,
                 "detail": r.detail,
+                "elapsed_s": r.elapsed_s,
             }
             for r in results
         ]

@@ -9,10 +9,13 @@ byte-identical CSV output.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .cats import parse_cat_spec
 from .engine import GameError, localization_report, run_game
@@ -36,6 +39,7 @@ CSV_COLUMNS = (
     "bound_d",
     "bound_t",
     "pass",
+    "error",
 )
 
 LOWER_BOUND_NOTE = (
@@ -45,6 +49,15 @@ LOWER_BOUND_NOTE = (
 )
 
 FORMULA_TAGS = ("sqrt32n", "sqrt2n", "fourLplusK", "threeHalvesK", "tOver12")
+
+
+@lru_cache(maxsize=None)
+def corpus_graph(spec: str) -> tuple[Graph, DistanceOracle, str]:
+    """The graph, a shared distance oracle and the canonical spec, built once
+    per spec string and process.  A `file:` spec is read once; later edits
+    to the file are not seen."""
+    g, canonical = parse_graph_spec(spec)
+    return g, DistanceOracle(g), canonical
 
 
 def derive_seed(*parts) -> int:
@@ -244,23 +257,17 @@ class Report:
         return max(radii) if radii else None
 
     def to_csv_text(self) -> str:
-        lines = [",".join(CSV_COLUMNS)]
+        """One row per run; an empty field is a missing value, and `error`
+        holds the note of a row that raised (quoted by CSV rules)."""
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
         for r in sorted(self.rows, key=lambda r: (r.seed, r.repetition)):
-            lines.append(
-                ",".join(
-                    [
-                        self.config_hash,
-                        str(r.seed),
-                        "" if r.first_success_step is None else str(r.first_success_step),
-                        "" if r.min_radius is None else str(r.min_radius),
-                        "" if r.argmin_step is None else str(r.argmin_step),
-                        str(r.bound_d),
-                        "" if r.bound_t is None else str(r.bound_t),
-                        "1" if r.passed else "0",
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
+            writer.writerow([
+                self.config_hash, r.seed, r.first_success_step, r.min_radius,
+                r.argmin_step, r.bound_d, r.bound_t, int(r.passed), r.note,
+            ])
+        return out.getvalue()
 
     def to_json_dict(self) -> dict:
         return {
@@ -313,8 +320,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Report:
         raise GraphError(f"experiment horizon must be >= 1, got {cfg.horizon}")
     if cfg.repetitions < 1:
         raise GraphError(f"experiment repetitions must be >= 1, got {cfg.repetitions}")
-    g, graph_spec = parse_graph_spec(cfg.graph)
-    oracle = DistanceOracle(g)
+    g, oracle, graph_spec = corpus_graph(cfg.graph)
     probe_cat = parse_cat_spec(cfg.cat, g, oracle, default_seed=0)
     bound_d = resolve_bound(cfg.bound_d, g, probe_cat, cfg)
     bound_t = resolve_bound(cfg.bound_t, g, probe_cat, cfg)

@@ -251,38 +251,6 @@ class DistanceOracle:
         return table
 
 
-def set_radius(g: Graph, members, oracle: DistanceOracle | None = None) -> tuple[int, int]:
-    """Radius of a vertex set W and the vertex attaining it.
-
-    Returns (radius, center) where radius = min over v in V of
-    max over w in W of d(v, w).  The minimizing v ranges over ALL vertices,
-    not just W; ties break to the lowest vertex id.
-    """
-    W = sorted(set(members))
-    if not W:
-        raise GraphError("set_radius of empty vertex set")
-    if not (0 <= W[0] and W[-1] < g.n):
-        raise GraphError("set_radius members out of range")
-    if len(W) == 1:
-        return 0, W[0]
-    oracle = oracle or DistanceOracle(g)
-    # max over w of d(v, w) for every v, via symmetric rows d(w, .)
-    if len(W) <= 8 and g.n > oracle.full_matrix_threshold:
-        worst = oracle.row(W[0]).copy()
-        for w in W[1:]:
-            np.maximum(worst, oracle.row(w), out=worst)
-    else:
-        worst = oracle.full_matrix().take(W, axis=1).max(axis=1)
-    center = int(worst.argmin())
-    return int(worst[center]), center
-
-
-def diameter(g: Graph, oracle: DistanceOracle | None = None) -> int:
-    """Largest distance between any pair of vertices, by n BFS runs."""
-    oracle = oracle or DistanceOracle(g)
-    return oracle.diameter()
-
-
 def sphere(g: Graph, v: int, level: int, oracle: DistanceOracle | None = None) -> tuple[int, ...]:
     """Vertices at distance exactly `level` from v, ascending ids.
 

@@ -2,18 +2,23 @@
 
 Each criterion check returns (ok, detail).  The same functions back the
 pytest acceptance module, so the CLI and the test suite can never drift
-apart.  Heavy graphs and their oracles are cached per spec string and shared
-across criteria within a process.
+apart.  Criteria 4 and 6 are batches of experiment configs run by
+`run_experiment`; the others read strategy internals or the solver and run
+their own games.  Heavy graphs and their oracles come from
+`experiment.corpus_graph`, cached per spec string and shared across criteria
+and experiments within a process.
 """
 
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cats import BallCoverCat, SphereWalkCat, parse_cat_spec, sqrt_cat
+from .cats import BallCoverCat, SphereWalkCat, parse_cat_spec
 from .engine import localization_report, run_game
+from .experiment import ExperimentConfig, corpus_graph, run_experiment
 from .graphs import (
     BallCover,
     DistanceOracle,
@@ -21,7 +26,6 @@ from .graphs import (
     ceil_sqrt,
     gen_spider,
     parse_graph,
-    parse_graph_spec,
     scattered_cover,
     SpiderSpec,
     thin_level,
@@ -34,12 +38,6 @@ from .solver import (
     exhaustive_game_value,
     winning_bit_paths,
 )
-
-
-@lru_cache(maxsize=None)
-def corpus_graph(spec: str) -> tuple[Graph, DistanceOracle]:
-    g, _ = parse_graph_spec(spec)
-    return g, DistanceOracle(g)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +235,7 @@ def check_fat_bound(quick: bool = False) -> tuple[bool, str]:
     )
     n_mice = 10 if quick else 100
     for spec, separation in corpus:
-        g, oracle = corpus_graph(spec)
+        g, oracle, _ = corpus_graph(spec)
         cover = scattered_cover(g, separation, oracle)
         L, k = cover.count, cover.radius_k
         if L < 2:
@@ -331,7 +329,7 @@ def check_thin_bound(quick: bool = False) -> tuple[bool, str]:
     n_mice = 10 if quick else 100
     runs = 0
     for spec in corpus:
-        g, oracle = corpus_graph(spec)
+        g, oracle, _ = corpus_graph(spec)
         K = ceil_sqrt(9 * g.n)
         bound = (3 * K + 1) // 2
         D = oracle.diameter()
@@ -367,28 +365,42 @@ def _mice_for(spec: str, seed: int) -> list[str]:
     return kinds
 
 
+def _failures(configs, opponent: str, missed) -> tuple[int, str | None]:
+    """Run every config through `run_experiment`.  Returns the number of runs
+    and, when any fails, a detail that counts the failures and describes the
+    first: its note if the game raised, else `missed(row)`."""
+    runs = [(cfg, row) for cfg in configs for row in run_experiment(cfg).rows]
+    failed = [(cfg, row) for cfg, row in runs if not row.passed]
+    if not failed:
+        return len(runs), None
+    cfg, row = failed[0]
+    return len(runs), (
+        f"{len(failed)} of {len(runs)} runs fail; first: {cfg.graph} vs "
+        f"{getattr(cfg, opponent)}: {row.note or missed(row)}"
+    )
+
+
 def check_sqrt_reproduction(quick: bool = False) -> tuple[bool, str]:
     slack = 2
-    seeds = range(3 if quick else 20)
-    runs = 0
-    for spec in _REPRO_CORPUS:
-        g, oracle = corpus_graph(spec)
-        bound_d = ceil_sqrt(32 * g.n)
-        deadline = ceil_sqrt(2 * g.n) + slack
-        for seed in seeds:
-            for mouse_spec in _mice_for(spec, seed):
-                cat = sqrt_cat(g, oracle)
-                mouse = parse_mouse_spec(mouse_spec)
-                tr = run_game(
-                    g, cat, mouse, deadline, track_belief=True, oracle=oracle
-                )
-                loc = localization_report(tr, bound_d)
-                if loc.first_success_step is None:
-                    return False, (
-                        f"{spec} vs {mouse_spec}: no step within {deadline} has "
-                        f"radius <= {bound_d} (min {loc.min_radius})"
-                    )
-                runs += 1
+    deadline = {
+        spec: ceil_sqrt(2 * corpus_graph(spec)[0].n) + slack for spec in _REPRO_CORPUS
+    }
+    configs = [
+        ExperimentConfig(
+            graph=spec, cat="sqrt", mouse=mouse_spec, horizon=deadline[spec],
+            seeds=(seed,), bound_d="sqrt32n", bound_t=deadline[spec],
+            bound_kind="upper",
+        )
+        for spec in _REPRO_CORPUS
+        for seed in range(3 if quick else 20)
+        for mouse_spec in _mice_for(spec, seed)
+    ]
+    runs, failure = _failures(configs, "mouse", lambda row: (
+        f"no step within {row.bound_t} has radius <= {row.bound_d} "
+        f"(min {row.min_radius})"
+    ))
+    if failure:
+        return False, failure
     return True, (
         f"{runs} runs localize to ceil(sqrt(32n)) by ceil(sqrt(2n)) + {slack} slack"
     )
@@ -398,7 +410,7 @@ def check_thin_time_reproduction(quick: bool = False) -> tuple[bool, str]:
     seeds = range(3 if quick else 20)
     runs = 0
     for spec in _REPRO_CORPUS:
-        g, oracle = corpus_graph(spec)
+        g, oracle, _ = corpus_graph(spec)
         n = g.n
         K = ceil_sqrt(9 * n)
         bound_d = (ceil_sqrt(81 * n) + 1) // 2
@@ -455,25 +467,20 @@ _LOWER_CATS = (
 
 
 def check_lower_bound(quick: bool = False) -> tuple[bool, str]:
-    horizon = 120 if quick else 300
-    cats = _LOWER_CATS[:4] if quick else _LOWER_CATS
-    runs = 0
-    for t, extra in _LOWER_CONFIGS:
-        spec = f"spider:t={t},extra={extra}"
-        g, oracle = corpus_graph(spec)
-        target = t // 12
-        for cat_spec in cats:
-            cat = parse_cat_spec(cat_spec, g, oracle)
-            mouse = parse_mouse_spec(f"spider:t={t}")
-            tr = run_game(g, cat, mouse, horizon, track_belief=True, oracle=oracle)
-            worst = min(tr.belief_radius[1:])
-            if worst <= target:
-                step = tr.belief_radius.index(worst)
-                return False, (
-                    f"{spec} vs {cat_spec}: radius {worst} <= t/12 = {target} "
-                    f"at step {step}"
-                )
-            runs += 1
+    configs = [
+        ExperimentConfig(
+            graph=f"spider:t={t},extra={extra}", cat=cat_spec,
+            mouse=f"spider:t={t}", horizon=120 if quick else 300, seeds=(0,),
+            bound_d="tOver12", bound_t=None, bound_kind="lower",
+        )
+        for t, extra in _LOWER_CONFIGS
+        for cat_spec in (_LOWER_CATS[:4] if quick else _LOWER_CATS)
+    ]
+    runs, failure = _failures(configs, "cat", lambda row: (
+        f"radius {row.min_radius} <= t/12 = {row.bound_d} at step {row.argmin_step}"
+    ))
+    if failure:
+        return False, failure
     return True, (
         f"{runs} runs keep radius > t/12 at every step "
         f"(implemented roster only; the universal quantifier is covered by the "
@@ -561,7 +568,7 @@ _STRUCTURE_CORPUS = (
 def check_structural(quick: bool = False) -> tuple[bool, str]:
     checks = 0
     for spec in _STRUCTURE_CORPUS:
-        g, oracle = corpus_graph(spec)
+        g, oracle, _ = corpus_graph(spec)
         n = g.n
         # scattered covers: coverage, pairwise separation, size bound
         for separation in (1, 3, ceil_sqrt(n), 2 * ceil_sqrt(n)):
@@ -618,6 +625,7 @@ class CriterionResult:
     name: str
     ok: bool
     detail: str
+    elapsed_s: float
 
     def line(self) -> str:
         verdict = "PASS" if self.ok else "FAIL"
@@ -653,6 +661,8 @@ def verify_suite(name: str, quick: bool = False) -> list[CriterionResult]:
     results = []
     for number in SUITES[name]:
         title, fn = CRITERIA[number]
+        start = time.perf_counter()
         ok, detail = fn(quick=quick)
-        results.append(CriterionResult(number, title, ok, detail))
+        elapsed = time.perf_counter() - start
+        results.append(CriterionResult(number, title, ok, detail, elapsed))
     return results

@@ -2,13 +2,17 @@
 
 One test per criterion, each printing a PASS/FAIL line (visible with
 `pytest -s` or on failure).  The checks live in catmouse.verify so the CLI
-`catmouse verify` runs exactly the same code.
+`catmouse verify` runs exactly the same code.  Two more tests make the bound
+of criteria 4 and 6 unmeetable and require every run to fail.
 
 Runtime note: the whole module takes on the order of a minute; the heavy
 graphs (n up to 2025) and their distance matrices are cached across
 criteria within the process.
 """
 
+import re
+
+from catmouse import experiment
 from catmouse.verify import CRITERIA
 
 
@@ -75,3 +79,31 @@ def test_criterion_8_structural_properties():
     K = ceil(3 sqrt n) for n >= 9, spider generator counts, and edge-list
     round trips across the corpus."""
     _run(8)
+
+
+def _unmeetable(monkeypatch, tag: str, resolve) -> None:
+    """Make the formula tag `tag` resolve through `resolve(g)` instead."""
+    real = experiment.resolve_bound
+
+    def fake(t, g, cat, cfg):
+        return resolve(g) if t == tag else real(t, g, cat, cfg)
+
+    monkeypatch.setattr(experiment, "resolve_bound", fake)
+
+
+def _assert_every_run_fails(number: int, reason: str) -> None:
+    ok, detail = CRITERIA[number][1](quick=True)
+    assert ok is False
+    assert re.match(r"(\d+) of \1 runs fail; first: ", detail), detail
+    assert reason in detail
+
+
+def test_criterion_4_fails_when_no_radius_can_meet_the_bound(monkeypatch):
+    _unmeetable(monkeypatch, "sqrt32n", lambda g: -1)
+    _assert_every_run_fails(4, "has radius <= -1")
+
+
+def test_criterion_6_fails_when_the_bound_exceeds_the_spider_radius(monkeypatch):
+    # every set of a spider's vertices lies within n of the center
+    _unmeetable(monkeypatch, "tOver12", lambda g: g.n)
+    _assert_every_run_fails(6, "<= t/12 = ")

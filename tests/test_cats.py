@@ -1,5 +1,6 @@
 """Cat strategies: elimination mechanics, phase descent, composition, baselines."""
 
+import numpy as np
 import pytest
 
 from catmouse.cats import (
@@ -13,7 +14,7 @@ from catmouse.cats import (
     parse_cat_spec,
     sqrt_cat,
 )
-from catmouse.engine import localization_report, run_game
+from catmouse.engine import localization_report, mask_radius, run_game
 from catmouse.graphs import (
     BallCover,
     DistanceOracle,
@@ -24,7 +25,6 @@ from catmouse.graphs import (
     gen_path,
     gen_spider,
     scattered_cover,
-    set_radius,
     SpiderSpec,
 )
 from catmouse.mice import RandomWalkMouse, StationaryMouse
@@ -165,7 +165,7 @@ class TestSqrtCat:
         cat = sqrt_cat(g)
         assert cat.cover.count == 1
         tr = run_game(g, cat, StationaryMouse(3), 3, track_belief=True)
-        assert tr.belief_radius[1] == set_radius(g, range(4))[0] == 1
+        assert tr.belief_radius[1] == mask_radius(DistanceOracle(g), np.ones(4, dtype=bool))[0] == 1
         assert tr.belief_radius[1] <= ceil_sqrt(32 * 4)
 
     def test_spider_cover_size_and_bounds(self):
@@ -213,6 +213,11 @@ class TestBaselines:
         # queries agree exactly as long as the bit histories agree
         c = drive_with_bits(SeededRandomCat(g, 7), [1, 0, 1, 0])
         assert a[:5] == c[:5]
+
+    def test_seeded_random_golden_queries(self):
+        # pins the hash payload "seed|t|bits": any change to it moves these
+        g = gen_path(37)
+        assert drive_with_bits(SeededRandomCat(g, 7), [1, 0, 1, 1]) == [34, 31, 6, 25, 0, 17]
 
     def test_seeded_random_seeds_differ(self):
         g = gen_path(101)

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,10 +16,11 @@ from catmouse.engine import (
     belief_update,
     feedback_bit,
     localization_report,
+    mask_radius,
     recompute_bits,
     run_game,
 )
-from catmouse.graphs import DistanceOracle, gen_cycle, gen_grid, gen_path, gen_random_tree, set_radius
+from catmouse.graphs import DistanceOracle, gen_cycle, gen_grid, gen_path, gen_random_tree
 from catmouse.mice import RandomWalkMouse, ScriptedMouse, StationaryMouse
 
 
@@ -125,7 +127,7 @@ class TestRunGame:
     def test_horizon_one_radius_is_whole_graph(self):
         g = gen_grid(3, 3)
         tr = run_game(g, StayCat(g), StationaryMouse(4), 1, track_belief=True)
-        assert tr.belief_radius[1] == set_radius(g, range(g.n))[0]
+        assert tr.belief_radius[1] == mask_radius(DistanceOracle(g), np.ones(g.n, dtype=bool))[0]
 
     def test_stationary_mouse_constant_queries_all_ones(self):
         g = gen_cycle(8)
@@ -229,7 +231,7 @@ class TestLocalizationReport:
     def test_already_localized_at_step_one(self):
         g = gen_path(5)
         tr = run_game(g, StayCat(g), StationaryMouse(4), 3, track_belief=True)
-        rad_v = set_radius(g, range(5))[0]
+        rad_v = mask_radius(DistanceOracle(g), np.ones(5, dtype=bool))[0]
         rep = localization_report(tr, rad_v)
         assert rep.first_success_step == 1
 

@@ -1,5 +1,7 @@
 """Experiment harness: config parsing, bound resolution, reports, CLI."""
 
+import csv
+import io
 import json
 
 import pytest
@@ -182,6 +184,14 @@ class TestRunExperiment:
         assert not report.all_pass
         assert len(report.rows) == 2
         assert all("not a spider" in r.note for r in report.rows)
+        # the CSV carries the note in its error column, quoted where needed
+        report.rows[0].note = 'step 3: mouse moved 1 -> 5, not in "closed" neighborhood'
+        header, *rows = csv.reader(io.StringIO(report.to_csv_text()))
+        assert header == list(CSV_COLUMNS) and header[-1] == "error"
+        assert [len(row) for row in rows] == [len(header)] * 2
+        assert rows[0][-1] == report.rows[0].note
+        assert "not a spider" in rows[1][-1]
+        assert [row[header.index("min_radius")] for row in rows] == ["", ""]
 
     def test_csv_is_deterministic_and_versioned(self):
         a = run_experiment(SPIDER_UPPER).to_csv_text()
@@ -340,6 +350,13 @@ class TestCli:
         assert main(["verify", "--suite", "structure", "--quick"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("PASS criterion 8")
+
+    def test_verify_json_reports_elapsed_time(self, capsys):
+        assert main(["verify", "--suite", "structure", "--quick", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [c["criterion"] for c in payload] == [8]
+        for c in payload:
+            assert isinstance(c["elapsed_s"], float) and c["elapsed_s"] >= 0
 
     def test_usage_error_exit_two(self):
         with pytest.raises(SystemExit) as err:

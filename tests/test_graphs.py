@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catmouse.engine import mask_radius
 from catmouse.graphs import (
     BallCover,
     DistanceOracle,
@@ -16,7 +17,6 @@ from catmouse.graphs import (
     SpiderSpec,
     bfs_distances,
     ceil_sqrt,
-    diameter,
     gen_cycle,
     gen_grid,
     gen_path,
@@ -25,7 +25,6 @@ from catmouse.graphs import (
     parse_graph,
     parse_graph_spec,
     scattered_cover,
-    set_radius,
     sphere,
     thin_level,
     write_graph,
@@ -116,19 +115,27 @@ class TestBfs:
             bfs_distances(gen_path(3), 7)
 
 
+def radius_of_set(g: Graph, members) -> tuple[int, int]:
+    """Radius and lowest-id center of a vertex set, through the engine's
+    `mask_radius`."""
+    mask = np.zeros(g.n, dtype=bool)
+    mask[list(members)] = True
+    return mask_radius(DistanceOracle(g), mask)
+
+
 class TestSetRadius:
     def test_singleton(self):
         g = gen_path(5)
-        assert set_radius(g, [3]) == (0, 3)
+        assert radius_of_set(g, [3]) == (0, 3)
 
     def test_p5_endpoints(self):
         g = gen_path(5)
-        assert set_radius(g, [0, 4]) == (2, 2)
-        assert set_radius(g, [0, 4]) == exhaustive_radius(g, [0, 4])
+        assert radius_of_set(g, [0, 4]) == (2, 2)
+        assert radius_of_set(g, [0, 4]) == exhaustive_radius(g, [0, 4])
 
     def test_p5_all_vertices(self):
         g = gen_path(5)
-        assert set_radius(g, range(5)) == (2, 2)
+        assert radius_of_set(g, range(5)) == (2, 2)
 
     @pytest.mark.parametrize("g", CORPUS)
     def test_matches_exhaustive_oracle(self, g):
@@ -139,23 +146,19 @@ class TestSetRadius:
             list(range(g.n)),
         ]
         for members in samples:
-            assert set_radius(g, members) == exhaustive_radius(g, members)
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(GraphError):
-            set_radius(gen_path(3), [])
+            assert radius_of_set(g, members) == exhaustive_radius(g, members)
 
 
 class TestDiameter:
     def test_examples(self):
-        assert diameter(gen_path(5)) == 4
+        assert DistanceOracle(gen_path(5)).diameter() == 4
         star = Graph(4, [(0, 1), (0, 2), (0, 3)])
-        assert diameter(star) == 2
-        assert diameter(gen_spider(SpiderSpec(12, 0))) == 24
+        assert DistanceOracle(star).diameter() == 2
+        assert DistanceOracle(gen_spider(SpiderSpec(12, 0))).diameter() == 24
 
     @pytest.mark.parametrize("g", CORPUS)
     def test_matches_floyd_warshall(self, g):
-        assert diameter(g) == int(floyd_warshall(g).max())
+        assert DistanceOracle(g).diameter() == int(floyd_warshall(g).max())
 
 
 class TestSphere:
@@ -190,7 +193,7 @@ class TestScatteredCover:
 
     def test_above_diameter_single_center(self):
         for g in CORPUS:
-            cover = scattered_cover(g, diameter(g) + 1)
+            cover = scattered_cover(g, DistanceOracle(g).diameter() + 1)
             assert cover.centers == (0,)
 
     @pytest.mark.parametrize("g", CORPUS)
@@ -290,7 +293,7 @@ class TestSpider:
 
 class TestGenerators:
     def test_path(self):
-        assert diameter(gen_path(5)) == 4
+        assert DistanceOracle(gen_path(5)).diameter() == 4
 
     def test_grid_counts(self):
         g = gen_grid(3, 3)

@@ -1,10 +1,11 @@
 """Oracles: brute-force beliefs, trajectory extraction, exhaustive game value."""
 
+import numpy as np
 import pytest
 
 from catmouse.cats import SeededRandomCat, StayCat, SweepCat
-from catmouse.engine import IllegalFeedbackError, localization_report, run_game
-from catmouse.graphs import Graph, GraphError, gen_cycle, gen_path, gen_random_tree, set_radius
+from catmouse.engine import IllegalFeedbackError, localization_report, mask_radius, run_game
+from catmouse.graphs import DistanceOracle, Graph, GraphError, gen_cycle, gen_path, gen_random_tree
 from catmouse.mice import RandomWalkMouse, ScriptedMouse
 from catmouse.solver import (
     SizeGuardError,
@@ -79,7 +80,7 @@ class TestConsistentTrajectory:
 class TestExhaustiveGameValue:
     def test_trivially_localized(self):
         g = gen_path(3)
-        d = set_radius(g, range(3))[0]
+        d = mask_radius(DistanceOracle(g), np.ones(3, dtype=bool))[0]
         res = exhaustive_game_value(g, 4, d)
         assert res.winner == "cat_wins"
         assert res.root_query is None
