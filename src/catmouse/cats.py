@@ -78,12 +78,6 @@ class BallCoverCat(CatStrategy):
         self._emitted = t
         return self._query_at(t)
 
-    def snapshot(self) -> tuple:
-        return (self._emitted, self._champ)
-
-    def restore(self, state: tuple) -> None:
-        self._emitted, self._champ = state
-
 
 class SphereWalkCat(CatStrategy):
     """Anchor descent through thin sphere levels.
@@ -123,13 +117,19 @@ class SphereWalkCat(CatStrategy):
         self._U: tuple[int, ...] = ()
         self._u_pos = 0
         self._pending: int | None = None  # candidate of the open pair
-        self._phase_log: list[tuple[int, int]] = [(0, 0)]
+        # Newest-first chain ((pairs, anchor), older): O(1) to extend and
+        # never mutated, so a clone shares it safely.
+        self._phase_log: tuple = ((0, 0), None)
         self._open_phase(0)
 
     @property
     def phase_log(self) -> tuple[tuple[int, int], ...]:
         """Boundaries as (pairs played, anchor) tuples, first entry (0, v1)."""
-        return tuple(self._phase_log)
+        out, node = [], self._phase_log
+        while node is not None:
+            entry, node = node
+            out.append(entry)
+        return tuple(reversed(out))
 
     def _open_phase(self, anchor: int) -> None:
         self._anchor = anchor
@@ -144,7 +144,7 @@ class SphereWalkCat(CatStrategy):
 
     def _close_phase_if_done(self) -> None:
         if self._u_pos >= len(self._U):
-            self._phase_log.append((self._pairs, self._champ))
+            self._phase_log = ((self._pairs, self._champ), self._phase_log)
             if self._pairs >= self.stop_pairs:
                 self._anchor = self._champ
                 self._mode = self.HOLD
@@ -178,33 +178,6 @@ class SphereWalkCat(CatStrategy):
                 return self._anchor
         return self._champ
 
-    def snapshot(self) -> tuple:
-        return (
-            self._emitted,
-            self._pairs,
-            self._anchor,
-            self._champ,
-            self._mode,
-            self._U,
-            self._u_pos,
-            self._pending,
-            tuple(self._phase_log),
-        )
-
-    def restore(self, state: tuple) -> None:
-        (
-            self._emitted,
-            self._pairs,
-            self._anchor,
-            self._champ,
-            self._mode,
-            self._U,
-            self._u_pos,
-            self._pending,
-            log,
-        ) = state
-        self._phase_log = list(log)
-
 
 class SweepCat(CatStrategy):
     """Queries 0, 1, ..., n-1 cyclically, ignoring all bits."""
@@ -222,12 +195,6 @@ class SweepCat(CatStrategy):
         self._emitted += 1
         return (self._emitted - 1) % self.n
 
-    def snapshot(self) -> tuple:
-        return (self._emitted,)
-
-    def restore(self, state: tuple) -> None:
-        (self._emitted,) = state
-
 
 class StayCat(CatStrategy):
     """Queries vertex 0 forever."""
@@ -240,12 +207,6 @@ class StayCat(CatStrategy):
 
     def next_query(self, bit: int | None) -> int:
         return 0
-
-    def snapshot(self) -> tuple:
-        return ()
-
-    def restore(self, state: tuple) -> None:
-        pass
 
 
 class SeededRandomCat(CatStrategy):
@@ -277,12 +238,6 @@ class SeededRandomCat(CatStrategy):
         self._emitted += 1
         return self._derive(self._emitted)
 
-    def snapshot(self) -> tuple:
-        return (self._emitted, self._bits)
-
-    def restore(self, state: tuple) -> None:
-        self._emitted, self._bits = state
-
 
 class ScriptedCat(CatStrategy):
     """Plays a fixed query list, repeating the last entry when exhausted."""
@@ -304,12 +259,6 @@ class ScriptedCat(CatStrategy):
     def next_query(self, bit: int | None) -> int:
         self._emitted += 1
         return self._query_at(self._emitted)
-
-    def snapshot(self) -> tuple:
-        return (self._emitted,)
-
-    def restore(self, state: tuple) -> None:
-        (self._emitted,) = state
 
 
 def auto_thin_K(g: Graph, oracle: DistanceOracle | None = None) -> int:

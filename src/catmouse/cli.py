@@ -20,6 +20,7 @@ from .graphs import (
     GraphError,
     ceil_sqrt,
     parse_graph_spec,
+    read_text,
     scattered_cover,
     write_graph,
 )
@@ -70,8 +71,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = parse_config_text(fh.read())
+    cfg = parse_config_text(read_text(args.config))
     report = run_experiment(cfg, out_dir=args.out)
     text = report.to_json_text() if args.format == "json" else report.to_csv_text()
     if args.out is None:
@@ -200,10 +200,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -146,6 +146,9 @@ class CatStrategy(ABC):
     bit, or None exactly once (before the second query, which is made with
     no information).  Identical bit histories must yield identical query
     sequences; seeded baselines derive every choice from their seed.
+
+    A strategy rebinds its attributes and never mutates them in place, so a
+    shallow copy is an independent cat; subclasses must not override `clone`.
     """
 
     spec = "cat"
@@ -156,16 +159,9 @@ class CatStrategy(ABC):
     @abstractmethod
     def next_query(self, bit: int | None) -> int: ...
 
-    @abstractmethod
-    def snapshot(self) -> tuple: ...
-
-    @abstractmethod
-    def restore(self, state: tuple) -> None: ...
-
     def clone(self) -> "CatStrategy":
-        dup = copy.copy(self)
-        dup.restore(self.snapshot())
-        return dup
+        """Independent copy at the current state; see the class docstring."""
+        return copy.copy(self)
 
 
 class MouseStrategy(ABC):

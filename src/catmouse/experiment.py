@@ -176,7 +176,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
     bound_d = bound("bound_d", "sqrt32n")
     bound_t = bound("bound_t", "sqrt2n")
-    save = fields.get("save_transcripts", "false").lower() in ("1", "true", "yes")
+    save = fields.get("save_transcripts", "false")
+    if save.lower() not in ("1", "true", "yes", "0", "false", "no"):
+        problems.append(f"field 'save_transcripts': not true/false/yes/no/1/0: {save!r}")
 
     if problems:
         raise GraphError("config errors: " + "; ".join(problems))
@@ -190,7 +192,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         bound_d=bound_d,
         bound_t=bound_t,
         bound_kind=bound_kind,
-        save_transcripts=save,
+        save_transcripts=save.lower() in ("1", "true", "yes"),
     )
 
 

@@ -162,21 +162,16 @@ class DistanceOracle:
     observe correct distances.
     """
 
-    def __init__(
-        self,
-        g: Graph,
-        *,
-        full_matrix_threshold: int = 4096,
-        row_cache_size: int = 4096,
-    ) -> None:
+    full_matrix_threshold = 4096
+    row_cache_size = 4096
+
+    def __init__(self, g: Graph) -> None:
         self.graph = g
-        self.full_matrix_threshold = full_matrix_threshold
-        self.row_cache_size = row_cache_size
         self._rows: OrderedDict[int, np.ndarray] = OrderedDict()
         self._matrix: np.ndarray | None = None
         self._diameter: int | None = None
         self._lock = threading.Lock()
-        self._thin_levels: dict[int, np.ndarray] = {}
+        self._thin_table: np.ndarray | None = None
 
     def row(self, v: int) -> np.ndarray:
         """Distance row from v (read-only)."""
@@ -234,21 +229,24 @@ class DistanceOracle:
         return self._diameter
 
     def thin_levels(self, K: int) -> np.ndarray:
-        """Per-vertex smallest qualifying sphere level below K (-1 if none).
-
-        Cached per K; used by the sphere-walk cat which needs the whole table.
-        """
-        table = self._thin_levels.get(K)
-        if table is None:
+        """Per-vertex `thin_level` below K (-1 if none), read-only: one table
+        of levels without a cap, built once, masked by K.  Every vertex has a
+        level at most ecc(v) + 1, where the sphere is empty."""
+        if K < 1:
+            raise GraphError(f"K must be >= 1, got {K}")
+        if self._thin_table is None:
             n = self.graph.n
-            table = np.full(n, -1, dtype=np.int32)
+            table = np.empty(n, dtype=np.int32)
+            levels = np.arange(1, n + 1)
             for v in range(n):
-                lvl = thin_level(self.graph, v, K, oracle=self)
-                if lvl is not None:
-                    table[v] = lvl
-            table.flags.writeable = False
-            self._thin_levels[K] = table
-        return table
+                counts = np.bincount(self.row(v))[1:]  # sphere sizes, levels 1..ecc
+                ok = 4 * counts < levels[: counts.size]
+                table[v] = ok.argmax() + 1 if ok.any() else counts.size + 1
+                del counts, ok  # before the next BFS row: a live one fragments the heap
+            self._thin_table = table
+        out = np.where(self._thin_table < K, self._thin_table, -1)
+        out.flags.writeable = False
+        return out
 
 
 def sphere(g: Graph, v: int, level: int, oracle: DistanceOracle | None = None) -> tuple[int, ...]:
@@ -503,9 +501,17 @@ def parse_graph_spec(spec: str) -> tuple[Graph, str]:
         sp = SpiderSpec(**parse_spec_fields(spec, rest, SPIDER_FIELDS))
         return gen_spider(sp), sp.spec_string()
     if kind == "file":
-        with open(rest, "r", encoding="utf-8") as fh:
-            return parse_graph(fh.read()), spec
+        return parse_graph(read_text(rest)), spec
     raise GraphError(f"unknown graph spec kind {kind!r} in {spec!r}")
+
+
+def read_text(path: str) -> str:
+    """A UTF-8 text file's contents; GraphError (naming it) if not UTF-8."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise GraphError(f"{path!r} is not UTF-8 text: {exc}") from None
 
 
 def parse_graph(text: str) -> Graph:

@@ -15,6 +15,7 @@ lookahead simulates depths alone and ignores branch identities.
 
 from __future__ import annotations
 
+import copy
 import random
 
 from .engine import GameView, MouseStrategy
@@ -56,12 +57,6 @@ class DepthPlan:
         self.w_action: str | None = None
         self.s2_just_ended = False
         self.cycle_just_ended = False
-
-    def copy(self) -> "DepthPlan":
-        dup = DepthPlan(self.t)
-        for name in self.__slots__:
-            setattr(dup, name, getattr(self, name))
-        return dup
 
     def advance(self, dc: int) -> int | None:
         """Process one step given d(query, center); returns the generated bit
@@ -207,7 +202,7 @@ class SpiderMouse(MouseStrategy):
             queries = _simulate_queries(
                 self.spider,
                 view.clone_cat(),
-                self.plan.copy(),
+                copy.copy(self.plan),
                 11 * t // 12,
                 entry_bit,
                 False,
@@ -230,7 +225,7 @@ class SpiderMouse(MouseStrategy):
             for j in range(max(1, i - t // 4 + 1), i):
                 lookback.add(view.c[j])
             future = _simulate_queries(
-                self.spider, clone, self.plan.copy(), 2 * t // 3, bit, False
+                self.spider, clone, copy.copy(self.plan), 2 * t // 3, bit, False
             )
             blocked = (
                 _queried_branches(self.spider, lookback)

@@ -300,12 +300,6 @@ class SolverCat(CatStrategy):
         self._last = q
         return q
 
-    def snapshot(self) -> tuple:
-        return (self._mask, self._prev, self._used, self._last)
-
-    def restore(self, state: tuple) -> None:
-        self._mask, self._prev, self._used, self._last = state
-
 
 def winning_bit_paths(result: SolverResult) -> list[tuple[list[int], list[int]]]:
     """All (queries, bits) records that can occur when the winning cat plays

@@ -193,9 +193,9 @@ def _lazy_walks(g: Graph, length: int):
 
 
 def _fat_final_champion(cat: BallCoverCat, oracle: DistanceOracle, traj) -> int:
-    """Drive the elimination cat against a fixed trajectory; returns the
-    final champion vertex (valid once 2L-1 queries have been emitted)."""
-    cat.restore((0, 1))
+    """Drive a clone of the elimination cat against a fixed trajectory;
+    returns the final champion vertex (valid once 2L-1 queries are out)."""
+    cat = cat.clone()
     q = cat.first_query()
     prev_d = oracle.distance(q, traj[0])
     last_bit: int | None = None

@@ -14,7 +14,7 @@ from catmouse.cats import (
     parse_cat_spec,
     sqrt_cat,
 )
-from catmouse.engine import localization_report, mask_radius, run_game
+from catmouse.engine import CatStrategy, localization_report, mask_radius, run_game
 from catmouse.graphs import (
     BallCover,
     DistanceOracle,
@@ -28,6 +28,7 @@ from catmouse.graphs import (
     SpiderSpec,
 )
 from catmouse.mice import RandomWalkMouse, StationaryMouse
+from catmouse.solver import exhaustive_game_value
 
 
 def drive_with_bits(cat, bits):
@@ -230,6 +231,26 @@ class TestBaselines:
         assert drive_with_bits(cat, [1]) == [4, 2, 2]
 
 
+def _spec_cat(spec):
+    g = gen_cycle(24)
+    return lambda: parse_cat_spec(spec, g, DistanceOracle(g))
+
+
+def _solver_cat():
+    res = exhaustive_game_value(gen_path(4), 8, 1)
+    assert res.winner == "cat_wins"
+    return res.extract_cat()
+
+
+CLONE_CASES = [
+    pytest.param(_spec_cat(spec), id=spec)
+    for spec in ("sqrt", "fat:c=1.0", "thin:K=auto", "sweep", "stay", "rand:seed=9")
+] + [
+    pytest.param(lambda: ScriptedCat([5, 3, 8, 1, 7, 2]), id="scripted"),
+    pytest.param(_solver_cat, id="solver"),
+]
+
+
 class TestBitHistoryDeterminism:
     @pytest.mark.parametrize(
         "factory",
@@ -251,26 +272,43 @@ class TestBitHistoryDeterminism:
         assert a == b
 
     def test_snapshot_restore_roundtrip(self):
+        """A clone taken mid-game is the snapshot: on the same bits it replays
+        the live cat's queries, across sphere-walk phase boundaries."""
         g = gen_cycle(24)
         oracle = DistanceOracle(g)
         cat = SphereWalkCat(g, auto_thin_K(g, oracle), oracle)
         cat.first_query()
         cat.next_query(None)
         cat.next_query(1)
-        snap = cat.snapshot()
-        ahead = [cat.next_query(b) for b in (0, 1, 1, 0)]
-        cat.restore(snap)
-        replay = [cat.next_query(b) for b in (0, 1, 1, 0)]
+        snap = cat.clone()
+        bits = (0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1)
+        ahead = [cat.next_query(b) for b in bits]
+        replay = [snap.next_query(b) for b in bits]
         assert ahead == replay
+        assert snap.phase_log == cat.phase_log and len(cat.phase_log) > 2
 
-    def test_clone_is_independent(self):
-        g = gen_path(9)
-        cat = SweepCat(g)
-        cat.first_query()
-        clone = cat.clone()
-        for _ in range(5):
-            clone.next_query(1)
-        assert cat.next_query(None) == 1  # live cat unaffected
+    @pytest.mark.parametrize("make", CLONE_CASES)
+    def test_clone_is_independent(self, make):
+        live, twin = make(), make()
+        bits = [1, 0, 0, 1, 1, 0, 1, 0, 1, 1] * 3
+        assert drive_with_bits(live, bits[:2]) == drive_with_bits(twin, bits[:2])
+        clone = live.clone()
+        for k in range(40):
+            clone.next_query(1 if k % 3 == 0 else 0)
+        later = [live.next_query(b) for b in bits[2:]]
+        assert later == [twin.next_query(b) for b in bits[2:]]
+        assert getattr(live, "phase_log", None) == getattr(twin, "phase_log", None)
+
+    def test_no_strategy_overrides_clone(self):
+        # perfbench counts clones by wrapping CatStrategy.clone alone.
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        found = list(subclasses(CatStrategy))
+        assert {"BallCoverCat", "SphereWalkCat", "SolverCat"} <= {c.__name__ for c in found}
+        assert [c.__name__ for c in found if "clone" in vars(c)] == []
 
 
 class TestFactories:

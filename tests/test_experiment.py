@@ -82,6 +82,17 @@ class TestConfigParsing:
         with pytest.raises(GraphError, match="repetitions"):
             parse_config_text(text)
 
+    @pytest.mark.parametrize(
+        "word, value",
+        [("TRUE", True), ("Yes", True), ("1", True), ("false", False), ("NO", False), ("0", False)],
+    )
+    def test_save_transcripts_words(self, word, value):
+        text = (
+            "graph: path:n=5\ncat: sweep\nmouse: stationary\n"
+            f"horizon: 4\nseeds: 1\nsave_transcripts: {word}\n"
+        )
+        assert parse_config_text(text).save_transcripts is value
+
     def test_bad_bound_tag(self):
         text = (
             "graph: path:n=5\ncat: sweep\nmouse: stationary\n"
@@ -278,6 +289,14 @@ USAGE_ERRORS = [
         ("config repetitions -2", _config(repetitions=-2), "'repetitions'"),
         ("config mouse rw:seed=z", _config(mouse="rw:seed=z"), "'seed'"),
         ("config cat fat:c=0", _config(cat="fat:c=0"), "'c'"),
+        (
+            "config save_transcripts ture",
+            ["experiment", _config()[1] + "save_transcripts: ture\n"],
+            "'save_transcripts'",
+        ),
+        ("gen file:directory", ["gen", "--spec", "file:{tmp}"], "{tmp}"),
+        ("gen file:not utf-8", ["gen", "--spec", "file:{tmp}/latin1.txt"], "latin1.txt"),
+        ("experiment config directory", ["experiment", "--config", "{tmp}"], "{tmp}"),
     )
 ]
 
@@ -285,7 +304,10 @@ USAGE_ERRORS = [
 class TestCli:
     @pytest.mark.parametrize("argv, field", USAGE_ERRORS)
     def test_usage_errors_name_the_field(self, argv, field, tmp_path, capsys):
-        if argv[0] == "experiment":
+        (tmp_path / "latin1.txt").write_bytes(b"2 1\n0 1\n# caf\xe9\n")
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        field = field.replace("{tmp}", str(tmp_path))
+        if argv[0] == "experiment" and len(argv) == 2:
             cfg = tmp_path / "exp.cfg"
             cfg.write_text(argv[1])
             argv = ["experiment", "--config", str(cfg)]

@@ -400,6 +400,20 @@ def test_thin_level_exists_for_random_trees(n, seed):
     assert all(thin_level(g, v, K, oracle) is not None for v in range(n))
 
 
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(min_value=2, max_value=80), seed=st.integers(0, 2**20))
+def test_thin_levels_table_matches_thin_level(n, seed):
+    g = gen_random_tree(n, seed)
+    oracle = DistanceOracle(g)
+    for K in (1, 2, ceil_sqrt(9 * n), n + 2):
+        table = oracle.thin_levels(K)
+        assert not table.flags.writeable
+        got = [None if lvl < 0 else int(lvl) for lvl in table]
+        assert got == [thin_level(g, v, K, oracle) for v in range(n)]
+    with pytest.raises(GraphError, match="K must be >= 1"):
+        oracle.thin_levels(0)
+
+
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(min_value=2, max_value=60), seed=st.integers(0, 2**20))
 def test_roundtrip_on_random_trees(n, seed):
@@ -421,16 +435,19 @@ class TestDistanceOracle:
             with pytest.raises(GraphError, match=f"source {v} out of range"):
                 lazy.distance(v, 0)
 
-    def test_full_matrix_threshold(self):
+    def test_full_matrix_threshold(self, monkeypatch):
+        monkeypatch.setattr(DistanceOracle, "full_matrix_threshold", 10)
         g = gen_path(20)
-        oracle = DistanceOracle(g, full_matrix_threshold=10)
+        oracle = DistanceOracle(g)
         with pytest.raises(GraphError, match="threshold"):
             oracle.full_matrix()
         assert oracle.distance(0, 19) == 19  # rows still work
 
-    def test_row_cache_eviction_keeps_answers_right(self):
+    def test_row_cache_eviction_keeps_answers_right(self, monkeypatch):
+        monkeypatch.setattr(DistanceOracle, "full_matrix_threshold", 1)
+        monkeypatch.setattr(DistanceOracle, "row_cache_size", 2)
         g = gen_path(30)
-        oracle = DistanceOracle(g, full_matrix_threshold=1, row_cache_size=2)
+        oracle = DistanceOracle(g)
         for v in range(30):
             assert oracle.distance(v, 0) == v
         assert oracle.distance(29, 0) == 29

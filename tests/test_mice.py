@@ -1,5 +1,7 @@
 """Mouse strategies: spider evader stage machine, branch lookahead, baselines."""
 
+import copy
+
 import pytest
 
 from catmouse.cats import (
@@ -234,6 +236,22 @@ class TestDepthPlan:
         plan.advance(0)
         bit = plan.advance(4)  # cat moved out: hold, bit 0
         assert plan.m_depth == 3 and bit == 0 and plan.w_action == "out"
+
+    def test_shallow_copy_is_independent(self):
+        plan = DepthPlan(12)
+        for dc in (3, 3, 2):
+            plan.advance(dc)
+
+        def slots(p):
+            return {name: getattr(p, name) for name in DepthPlan.__slots__}
+
+        before = copy.deepcopy(slots(plan))
+        dup = copy.copy(plan)
+        assert slots(dup) == before
+        for dc in (2, 1, 1, 0, 4, 5, 6, 7, 8, 9):
+            dup.advance(dc)
+        assert slots(dup) != before
+        assert slots(plan) == before
 
 
 class TestBaselineMice:
