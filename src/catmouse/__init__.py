@@ -20,7 +20,6 @@ from .cats import (
     sqrt_cat,
 )
 from .engine import (
-    BeliefSet,
     CatStrategy,
     GameError,
     GameView,
@@ -29,10 +28,8 @@ from .engine import (
     MouseStrategy,
     RuleViolationError,
     Transcript,
-    belief_update,
     feedback_bit,
     localization_report,
-    recompute_bits,
     run_game,
 )
 from .experiment import (

@@ -40,45 +40,13 @@ def feedback_bit(d_prev: int, d_cur: int) -> int:
     return 1 if d_cur <= d_prev else 0
 
 
-@dataclass(frozen=True)
-class BeliefSet:
-    """Possible mouse positions at a step, stored as a vertex bitmask."""
-
-    step: int
-    n: int
-    mask: int
-
-    @classmethod
-    def full(cls, n: int, step: int = 1) -> "BeliefSet":
-        return cls(step=step, n=n, mask=(1 << n) - 1)
-
-    @classmethod
-    def of(cls, n: int, members, step: int = 0) -> "BeliefSet":
-        mask = 0
-        for v in members:
-            mask |= 1 << v
-        return cls(step=step, n=n, mask=mask)
-
-    def __contains__(self, v: int) -> bool:
-        return bool((self.mask >> v) & 1)
-
-    def members(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.n) if (self.mask >> v) & 1)
-
-    @property
-    def size(self) -> int:
-        return self.mask.bit_count()
-
-    def to_bool_array(self) -> np.ndarray:
-        nbytes = (self.n + 7) // 8
-        raw = np.frombuffer(
-            self.mask.to_bytes(nbytes, "little"), dtype=np.uint8
-        )
-        return np.unpackbits(raw, bitorder="little")[: self.n].astype(bool)
-
-
 def _mask_from_bool(arr: np.ndarray) -> int:
     return int.from_bytes(np.packbits(arr, bitorder="little").tobytes(), "little")
+
+
+def _bool_from_mask(mask: int, n: int) -> np.ndarray:
+    raw = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little")[:n].astype(bool)
 
 
 class BeliefKernel:
@@ -86,15 +54,14 @@ class BeliefKernel:
 
     v survives a bit-1 update iff some believed u in N[v] has
     d(c_prev, u) >= d(c_cur, v); a bit-0 update flips the comparison to
-    strict less-than.  The update touches only closed neighborhoods, so a
-    step costs O(sum of degrees over the believed set).
+    strict less-than.  Each step gathers over the whole closed CSR, so it
+    costs O(n + 2m) whatever the size of the believed set.
     """
 
     _NONE_MAX = np.int32(-1)
     _NONE_MIN = np.int32(2**30)
 
     def __init__(self, g: Graph, oracle: DistanceOracle) -> None:
-        self.graph = g
         self.oracle = oracle
         indptr, indices = g.closed_csr()
         self._starts = indptr[:-1]
@@ -114,29 +81,6 @@ class BeliefKernel:
         vals = np.where(member_at, gathered, self._NONE_MIN)
         best = np.minimum.reduceat(vals, self._starts)
         return best < row_cur
-
-
-def belief_update(
-    g: Graph,
-    m_prev: BeliefSet,
-    c_prev: int,
-    c_cur: int,
-    bit: int,
-    oracle: DistanceOracle | None = None,
-) -> BeliefSet:
-    """One exact belief-update step; raises IllegalFeedbackError on empty."""
-    if m_prev.mask == 0:
-        raise IllegalFeedbackError(f"belief set already empty at step {m_prev.step}")
-    oracle = oracle or DistanceOracle(g)
-    kernel = BeliefKernel(g, oracle)
-    out = kernel.update_bool(m_prev.to_bool_array(), c_prev, c_cur, bit)
-    mask = _mask_from_bool(out)
-    if mask == 0:
-        raise IllegalFeedbackError(
-            f"belief update emptied at step {m_prev.step + 1} "
-            f"(c_prev={c_prev}, c_cur={c_cur}, bit={bit})"
-        )
-    return BeliefSet(step=m_prev.step + 1, n=g.n, mask=mask)
 
 
 class CatStrategy(ABC):
@@ -217,10 +161,13 @@ class Transcript:
     belief_center: list | None = None
     meta: dict = field(default_factory=dict)
 
-    def belief_set(self, i: int) -> BeliefSet:
+    def belief_members(self, i: int) -> np.ndarray:
+        """M_i as a bool array over the vertices."""
         if self.beliefs is None:
             raise GameError("transcript did not track beliefs")
-        return BeliefSet(step=i, n=self.n, mask=self.beliefs[i])
+        if not (1 <= i <= self.horizon):
+            raise GameError(f"step {i} out of range 1..{self.horizon}")
+        return _bool_from_mask(self.beliefs[i], self.n)
 
     def to_dict(self) -> dict:
         return {
@@ -377,16 +324,3 @@ def localization_report(tr: Transcript, d: int) -> LocalizationReport:
             best_step = i
     return LocalizationReport(first, best, best_step)
 
-
-def recompute_bits(tr: Transcript, g: Graph, oracle: DistanceOracle | None = None) -> list:
-    """Re-derive the bit sequence from the recorded positions and queries."""
-    oracle = oracle or DistanceOracle(g)
-    bits: list = [None, None]
-    for i in range(2, tr.horizon + 1):
-        bits.append(
-            feedback_bit(
-                oracle.distance(tr.c[i - 1], tr.m[i - 1]),
-                oracle.distance(tr.c[i], tr.m[i]),
-            )
-        )
-    return bits

@@ -82,12 +82,6 @@ class Graph:
         if count != self.n:
             raise GraphError(f"graph is disconnected ({count} of {self.n} reachable)")
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def closed_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR layout of closed neighborhoods N[v] = {v} ∪ N(v), for kernels."""
         if self._csr is None:
@@ -194,7 +188,10 @@ class DistanceOracle:
         return computed
 
     def distance(self, u: int, v: int) -> int:
-        return int(self.row(u)[v])
+        row = self.row(u)
+        if not (0 <= v < self.graph.n):
+            raise GraphError(f"target {v} out of range for n={self.graph.n}")
+        return int(row[v])
 
     def full_matrix(self) -> np.ndarray:
         """All-pairs distance matrix (read-only), n x n int32."""

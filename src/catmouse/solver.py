@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .engine import BeliefSet, CatStrategy, IllegalFeedbackError
+from .engine import CatStrategy, IllegalFeedbackError
 from .graphs import Graph, GraphError
 
 
@@ -59,13 +59,14 @@ def _step_sets(g: Graph, dists: _DistCache, members: set, c_prev: int, c_cur: in
     return out
 
 
-def brute_force_beliefs(g: Graph, queries, bits) -> list[BeliefSet]:
+def brute_force_beliefs(g: Graph, queries, bits) -> list:
     """Exact belief sequence from a query/bit record, by forward reachability
     over the layered graph of (step, vertex) states.
 
     `queries` lists c_1..c_h; `bits` lists b_2..b_h.  Returns the 1-based
-    belief list [None, M_1, ..., M_h].  Guarded against instances too large
-    to enumerate.
+    list [None, M_1, ..., M_h] of vertex bitmasks (bit v set iff v is
+    believed), the layout of `Transcript.beliefs`.  Guarded against
+    instances too large to enumerate.
     """
     h = len(queries)
     if len(bits) != h - 1:
@@ -77,12 +78,12 @@ def brute_force_beliefs(g: Graph, queries, bits) -> list[BeliefSet]:
         raise SizeGuardError(f"brute force refused: n*h = {g.n * h} too large")
     dists = _DistCache(g)
     members = set(range(g.n))
-    out: list = [None, BeliefSet.of(g.n, members, step=1)]
+    out: list = [None, (1 << g.n) - 1]
     for j in range(1, h):
         members = _step_sets(g, dists, members, queries[j - 1], queries[j], bits[j - 1])
         if not members:
             raise IllegalFeedbackError(f"brute force: belief emptied at step {j + 1}")
-        out.append(BeliefSet.of(g.n, members, step=j + 1))
+        out.append(sum(1 << v for v in members))
     return out
 
 

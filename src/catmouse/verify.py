@@ -152,7 +152,7 @@ def check_oracle_equivalence(quick: bool = False) -> tuple[bool, str]:
                 g, tr.c[1:], [tr.b[i] for i in range(2, horizon + 1)]
             )
             for i in range(1, horizon + 1):
-                if tr.beliefs[i] != reference[i].mask:
+                if tr.beliefs[i] != reference[i]:
                     return False, (
                         f"belief mismatch at step {i} on n={g.n} graph with "
                         f"cat={cat_spec} mouse={mouse_spec}"
@@ -192,21 +192,6 @@ def _lazy_walks(g: Graph, length: int):
         yield from extend([start])
 
 
-def _fat_final_champion(cat: BallCoverCat, oracle: DistanceOracle, traj) -> int:
-    """Drive a clone of the elimination cat against a fixed trajectory;
-    returns the final champion vertex (valid once 2L-1 queries are out)."""
-    cat = cat.clone()
-    q = cat.first_query()
-    prev_d = oracle.distance(q, traj[0])
-    last_bit: int | None = None
-    for i in range(2, len(traj) + 1):
-        q = cat.next_query(last_bit)
-        cur_d = oracle.distance(q, traj[i - 1])
-        last_bit = 1 if cur_d <= prev_d else 0
-        prev_d = cur_d
-    return cat.champion_vertex
-
-
 def check_fat_bound(quick: bool = False) -> tuple[bool, str]:
     # (a) exhaustive over every lazy walk on five fixed small instances
     checked = 0
@@ -218,7 +203,9 @@ def check_fat_bound(quick: bool = False) -> tuple[bool, str]:
         L = cover.count
         bound = 4 * L + k
         for traj in _lazy_walks(g, 2 * L):
-            champ = _fat_final_champion(cat, oracle, traj)
+            clone = cat.clone()
+            run_game(g, clone, ScriptedMouse(traj), len(traj), oracle=oracle)
+            champ = clone.champion_vertex
             dist = oracle.distance(champ, traj[2 * L - 2])
             if dist > bound:
                 return False, (
@@ -257,7 +244,7 @@ def check_fat_bound(quick: bool = False) -> tuple[bool, str]:
                     f"{spec}: mouse {mouse.spec} at {target} is "
                     f"{oracle.distance(champ, target)} > {bound} from champion"
                 )
-            members = tr.belief_set(2 * L - 1).to_bool_array()
+            members = tr.belief_members(2 * L - 1)
             worst = int(oracle.row(champ)[members].max())
             if worst > bound:
                 return False, (
@@ -416,7 +403,6 @@ def check_thin_time_reproduction(quick: bool = False) -> tuple[bool, str]:
         bound_d = (ceil_sqrt(81 * n) + 1) // 2
         D = oracle.diameter()
         horizon = min(n, max(4, D + 2))
-        graph_radius = min(oracle.eccentricity(v) for v in range(n))
         for seed in seeds:
             for mouse_spec in _mice_for(spec, seed):
                 cat = SphereWalkCat(g, K, oracle)
@@ -425,20 +411,20 @@ def check_thin_time_reproduction(quick: bool = False) -> tuple[bool, str]:
                     g, cat, mouse, horizon,
                     track_belief=True, track_radius=False, oracle=oracle,
                 )
-                success = 1 if graph_radius <= bound_d else None
-                if success is None:
-                    for pairs, anchor in cat.phase_log:
-                        if pairs < 1 or 4 * pairs < 2 * D - 3 * K:
-                            continue
-                        step = 2 * pairs - 1
-                        if step > min(n, horizon):
-                            break
-                        members = tr.belief_set(step).to_bool_array()
-                        witness = int(oracle.row(anchor)[members].max())
-                        if witness <= bound_d:
-                            success = step
-                            break
-                if success is None or success > n:
+                # Each certificate is an anchor of the cat's own phase log:
+                # max over M_step of d(anchor, .) bounds rad(M_step) above.
+                certified = False
+                for pairs, anchor in cat.phase_log:
+                    if 4 * pairs < 2 * D - 3 * K:
+                        continue
+                    step = max(1, 2 * pairs - 1)
+                    if step > horizon:
+                        break
+                    witness = int(oracle.row(anchor)[tr.belief_members(step)].max())
+                    if witness <= bound_d:
+                        certified = True
+                        break
+                if not certified:
                     return False, (
                         f"{spec} vs {mouse_spec}: no certified step <= {n} with "
                         f"radius <= {bound_d}"

@@ -3,7 +3,8 @@
 One test per criterion, each printing a PASS/FAIL line (visible with
 `pytest -s` or on failure).  The checks live in catmouse.verify so the CLI
 `catmouse verify` runs exactly the same code.  Two more tests make the bound
-of criteria 4 and 6 unmeetable and require every run to fail.
+of criteria 4 and 6 unmeetable and require every run to fail; a third gives
+criterion 5 a cat whose anchors certify nothing and requires it to fail.
 
 Runtime note: the whole module takes on the order of a minute; the heavy
 graphs (n up to 2025) and their distance matrices are cached across
@@ -12,7 +13,7 @@ criteria within the process.
 
 import re
 
-from catmouse import experiment
+from catmouse import experiment, verify
 from catmouse.verify import CRITERIA
 
 
@@ -107,3 +108,18 @@ def test_criterion_6_fails_when_the_bound_exceeds_the_spider_radius(monkeypatch)
     # every set of a spider's vertices lies within n of the center
     _unmeetable(monkeypatch, "tOver12", lambda g: g.n)
     _assert_every_run_fails(6, "<= t/12 = ")
+
+
+def test_criterion_5_fails_when_no_anchor_certifies(monkeypatch):
+    # A phase log that never leaves vertex 0: on the path no certificate is
+    # ever checked (the (0, 0) entry is below the pair budget), so the run
+    # must fail rather than pass on some other ground.
+    class StuckAtZero(verify.SphereWalkCat):
+        @property
+        def phase_log(self):
+            return ((0, 0),)
+
+    monkeypatch.setattr(verify, "SphereWalkCat", StuckAtZero)
+    ok, detail = CRITERIA[5][1](quick=True)
+    assert ok is False
+    assert detail.startswith("path:n=2000 vs "), detail

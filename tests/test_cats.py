@@ -92,9 +92,7 @@ class TestBallCoverCat:
             step = 2 * cover.count - 1
             champ = cat.champion_vertex
             assert oracle.distance(champ, tr.m[step]) <= bound
-            assert max(
-                oracle.distance(champ, w) for w in tr.belief_set(step).members()
-            ) <= bound
+            assert oracle.row(champ)[tr.belief_members(step)].max() <= bound
 
     def test_empty_cover_rejected(self):
         g = gen_path(3)

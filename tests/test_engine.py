@@ -7,17 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catmouse import solver
 from catmouse.cats import ScriptedCat, SeededRandomCat, StayCat, SweepCat
 from catmouse.engine import (
-    BeliefSet,
+    BeliefKernel,
     GameError,
-    IllegalFeedbackError,
     RuleViolationError,
-    belief_update,
+    _bool_from_mask,
+    _mask_from_bool,
     feedback_bit,
     localization_report,
     mask_radius,
-    recompute_bits,
     run_game,
 )
 from catmouse.graphs import DistanceOracle, gen_cycle, gen_grid, gen_path, gen_random_tree
@@ -75,52 +75,83 @@ class TestFeedbackBit:
         assert feedback_bit(0, 1) == 0
 
 
-class TestBeliefSet:
-    def test_members_roundtrip(self):
-        b = BeliefSet.of(6, [0, 2, 5])
-        assert b.members() == (0, 2, 5)
-        assert 2 in b and 3 not in b
-        assert b.size == 3
-        assert list(b.to_bool_array()) == [True, False, True, False, False, True]
+def members_of(arr) -> list[int]:
+    return np.flatnonzero(arr).tolist()
 
-    def test_full(self):
-        assert BeliefSet.full(4).members() == (0, 1, 2, 3)
+
+def kernel_for(g) -> BeliefKernel:
+    return BeliefKernel(g, DistanceOracle(g))
+
+
+class TestBeliefMask:
+    def test_members_roundtrip(self):
+        arr = np.array([True, False, True, False, False, True])
+        mask = _mask_from_bool(arr)
+        assert mask == 0b100101
+        assert list(_bool_from_mask(mask, 6)) == list(arr)
+        # a mask wider than a whole number of bytes keeps its top vertex
+        full = _bool_from_mask((1 << 9) - 1, 9)
+        assert full.all() and len(full) == 9
 
 
 class TestBeliefUpdate:
     def test_p5_stay_keeps_everything_on_bit_one(self):
-        g = gen_path(5)
-        out = belief_update(g, BeliefSet.full(5), 0, 0, 1)
-        assert out.members() == (0, 1, 2, 3, 4)
+        out = kernel_for(gen_path(5)).update_bool(np.ones(5, dtype=bool), 0, 0, 1)
+        assert members_of(out) == [0, 1, 2, 3, 4]
 
     def test_p5_bit_zero_drops_the_cat_vertex(self):
-        g = gen_path(5)
-        out = belief_update(g, BeliefSet.full(5), 0, 0, 0)
-        assert out.members() == (1, 2, 3, 4)
+        out = kernel_for(gen_path(5)).update_bool(np.ones(5, dtype=bool), 0, 0, 0)
+        assert members_of(out) == [1, 2, 3, 4]
 
     def test_true_position_survives(self):
         g = gen_grid(2, 3)
+        kernel = kernel_for(g)
         for u in range(g.n):
-            prev = BeliefSet.of(g.n, [u], step=1)
+            prev = np.zeros(g.n, dtype=bool)
+            prev[u] = True
             bit = feedback_bit(1, 1)  # stationary mouse, repeated query
-            out = belief_update(g, prev, 2, 2, bit)
-            assert u in out
+            assert kernel.update_bool(prev, 2, 2, bit)[u]
 
     def test_empty_update_raises(self):
-        g = gen_path(2)
-        prev = BeliefSet.of(2, [0], step=1)
-        with pytest.raises(IllegalFeedbackError):
-            belief_update(g, prev, 1, 1, 0)
+        # The kernel returns the empty set; run_game is what raises on it.
+        prev = np.array([True, False])
+        assert not kernel_for(gen_path(2)).update_bool(prev, 1, 1, 0).any()
 
     def test_matches_trajectory_enumeration(self):
         g = gen_path(5)
+        kernel = kernel_for(g)
         for c0, c1, bit in itertools.product(range(5), range(5), (0, 1)):
             expected = beliefs_by_trajectory_enumeration(g, [c0, c1], [bit])[1]
-            try:
-                got = set(belief_update(g, BeliefSet.full(5), c0, c1, bit).members())
-            except IllegalFeedbackError:
-                got = set()
+            got = set(members_of(kernel.update_bool(np.ones(5, dtype=bool), c0, c1, bit)))
             assert got == expected, (c0, c1, bit)
+
+
+@st.composite
+def kernel_cases(draw):
+    kind = draw(st.sampled_from(("tree", "cycle", "grid")))
+    if kind == "tree":
+        g = gen_random_tree(draw(st.integers(2, 36)), draw(st.integers(0, 2**20)))
+    elif kind == "cycle":
+        g = gen_cycle(draw(st.integers(3, 36)))
+    else:
+        g = gen_grid(draw(st.integers(1, 6)), draw(st.integers(2, 6)))
+    members = draw(st.sets(st.integers(0, g.n - 1), min_size=1))
+    c_prev = draw(st.integers(0, g.n - 1))
+    c_cur = draw(st.integers(0, g.n - 1))
+    return g, members, c_prev, c_cur, draw(st.sampled_from((0, 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=kernel_cases())
+def test_kernel_matches_solver_on_arbitrary_beliefs(case):
+    """The numpy kernel equals the solver's set-based step from any
+    non-empty belief set, not only the ones a game reaches."""
+    g, members, c_prev, c_cur, bit = case
+    arr = np.zeros(g.n, dtype=bool)
+    arr[list(members)] = True
+    got = kernel_for(g).update_bool(arr, c_prev, c_cur, bit)
+    expected = solver._step_sets(g, solver._DistCache(g), members, c_prev, c_cur, bit)
+    assert set(members_of(got)) == expected
 
 
 class TestRunGame:
@@ -155,7 +186,7 @@ class TestRunGame:
                 track_belief=True,
             )
             for i in range(1, 11):
-                assert tr.m[i] in tr.belief_set(i)
+                assert tr.belief_members(i)[tr.m[i]]
 
     def test_belief_matches_trajectory_enumeration(self):
         g = gen_path(4)
@@ -166,7 +197,7 @@ class TestRunGame:
             g, tr.c[1:], [tr.b[i] for i in range(2, 5)]
         )
         for i in range(1, 5):
-            assert set(tr.belief_set(i).members()) == expected[i - 1]
+            assert set(members_of(tr.belief_members(i))) == expected[i - 1]
 
     def test_monotone_evidence_under_side_information(self):
         # Intersecting each step with side information can only shrink the
@@ -177,18 +208,13 @@ class TestRunGame:
             g, SeededRandomCat(g, 1), RandomWalkMouse(2), 8,
             track_belief=True, oracle=oracle,
         )
-        side = BeliefSet.of(g.n, [v for v in range(g.n) if v % 2 == 0])
-        constrained = BeliefSet.of(g.n, tr.belief_set(1).members(), step=1)
-        constrained = BeliefSet(1, g.n, constrained.mask & side.mask)
+        side = np.arange(g.n) % 2 == 0
+        kernel = BeliefKernel(g, oracle)
+        constrained = tr.belief_members(1) & side
         for i in range(2, 9):
-            try:
-                constrained = belief_update(
-                    g, constrained, tr.c[i - 1], tr.c[i], tr.b[i], oracle
-                )
-            except IllegalFeedbackError:
-                break
-            constrained = BeliefSet(i, g.n, constrained.mask & side.mask)
-            assert constrained.mask & ~tr.beliefs[i] == 0
+            constrained = kernel.update_bool(constrained, tr.c[i - 1], tr.c[i], tr.b[i])
+            constrained &= side
+            assert not (constrained & ~tr.belief_members(i)).any()
 
     def test_deterministic_transcripts(self):
         g = gen_random_tree(40, seed=8)
@@ -204,8 +230,16 @@ class TestRunGame:
 
     def test_replaying_bits_reproduces_them(self):
         g = gen_grid(4, 4)
-        tr = run_game(g, SeededRandomCat(g, 11), RandomWalkMouse(12), 15)
-        assert recompute_bits(tr, g) == tr.b
+        oracle = DistanceOracle(g)
+        tr = run_game(g, SeededRandomCat(g, 11), RandomWalkMouse(12), 15, oracle=oracle)
+        bits = [None, None] + [
+            feedback_bit(
+                oracle.distance(tr.c[i - 1], tr.m[i - 1]),
+                oracle.distance(tr.c[i], tr.m[i]),
+            )
+            for i in range(2, 16)
+        ]
+        assert bits == tr.b
 
     def test_clone_cat_does_not_mutate_live_cat(self):
         g = gen_path(6)
@@ -271,6 +305,17 @@ class TestTranscript:
         tr = run_game(g, StayCat(g), StationaryMouse(1), 3, track_belief=True)
         assert tr.to_json() == tr.to_json()
 
+    def test_belief_members_steps(self):
+        g = gen_path(4)
+        tr = run_game(g, StayCat(g), StationaryMouse(1), 3, track_belief=True)
+        assert tr.belief_members(1).all() and len(tr.belief_members(1)) == 4
+        for i in (0, -1, 4):
+            with pytest.raises(GameError, match=f"step {i} out of range 1..3"):
+                tr.belief_members(i)
+        untracked = run_game(g, StayCat(g), StationaryMouse(1), 3)
+        with pytest.raises(GameError, match="did not track beliefs"):
+            untracked.belief_members(1)
+
 
 @settings(max_examples=30, deadline=None)
 @given(
@@ -285,4 +330,4 @@ def test_soundness_property(seed, cat_seed, n):
         track_belief=True,
     )
     for i in range(1, 9):
-        assert tr.m[i] in tr.belief_set(i)
+        assert tr.belief_members(i)[tr.m[i]]

@@ -265,7 +265,7 @@ class TestSpider:
         assert gen_spider(SpiderSpec(12, 0)).n == 145
         g = gen_spider(SpiderSpec(12, 7))
         assert g.n == 152
-        assert g.degree(0) == 13
+        assert len(g.adjacency[0]) == 13
         assert g.edge_count == g.n - 1
 
     def test_t1_is_p2(self):
@@ -430,10 +430,14 @@ class TestDistanceOracle:
         for v in (-1, g.n):
             with pytest.raises(GraphError, match=f"source {v} out of range"):
                 lazy.distance(v, 0)
+            with pytest.raises(GraphError, match=f"target {v} out of range"):
+                lazy.distance(0, v)
         assert np.array_equal(np.stack(rows), lazy.full_matrix())
         for v in (-1, g.n):
             with pytest.raises(GraphError, match=f"source {v} out of range"):
                 lazy.distance(v, 0)
+            with pytest.raises(GraphError, match=f"target {v} out of range"):
+                lazy.distance(0, v)
 
     def test_full_matrix_threshold(self, monkeypatch):
         monkeypatch.setattr(DistanceOracle, "full_matrix_threshold", 10)

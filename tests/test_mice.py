@@ -143,7 +143,7 @@ class TestSpiderMouseInvariants:
     def test_shadow_stays_in_belief(self, cat):
         spec, g, oracle, mouse, tr = spider_run(cat)
         for i in range(1, tr.horizon + 1):
-            assert mouse.shadow_trace[i] in tr.belief_set(i)
+            assert tr.belief_members(i)[mouse.shadow_trace[i]]
 
     @pytest.mark.parametrize("cat", CATS)
     def test_separation_keeps_radius_above_t_over_12(self, cat):
@@ -183,7 +183,7 @@ class TestSpiderMouseInvariants:
         tr = run_game(g, cat, mouse, 80, track_belief=True, oracle=oracle)
         for i in range(1, 81):
             assert tr.belief_radius[i] > T // 12
-            assert mouse.shadow_trace[i] in tr.belief_set(i)
+            assert tr.belief_members(i)[mouse.shadow_trace[i]]
 
     def test_t24_spider(self):
         spec, g, oracle, mouse, tr = spider_run(
@@ -191,7 +191,7 @@ class TestSpiderMouseInvariants:
         )
         for i in range(1, tr.horizon + 1):
             assert tr.belief_radius[i] > 2
-            assert mouse.shadow_trace[i] in tr.belief_set(i)
+            assert tr.belief_members(i)[mouse.shadow_trace[i]]
 
     def test_sqrt_cat_never_localizes_to_t_over_12(self):
         from catmouse.cats import sqrt_cat
