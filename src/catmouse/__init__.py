@@ -69,8 +69,8 @@ from .mice import (
     parse_mouse_spec,
 )
 from .solver import (
+    GameSolver,
     SizeGuardError,
-    SolverResult,
     brute_force_beliefs,
     consistent_trajectory,
     exhaustive_game_value,

@@ -125,6 +125,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if key not in known:
             problems.append(f"line {idx}: unknown field {key!r}")
             continue
+        if key in fields:
+            problems.append(f"line {idx}: field {key!r} given twice")
+            continue
         fields[key] = val.strip()
 
     def intval(key: str, default: int | None = None) -> int | None:
@@ -322,6 +325,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Report:
         raise GraphError(f"experiment horizon must be >= 1, got {cfg.horizon}")
     if cfg.repetitions < 1:
         raise GraphError(f"experiment repetitions must be >= 1, got {cfg.repetitions}")
+    if cfg.bound_kind not in ("upper", "lower"):
+        raise GraphError(f"experiment bound_kind must be upper or lower, got {cfg.bound_kind!r}")
     g, oracle, graph_spec = corpus_graph(cfg.graph)
     probe_cat = parse_cat_spec(cfg.cat, g, oracle, default_seed=0)
     bound_d = resolve_bound(cfg.bound_d, g, probe_cat, cfg)

@@ -43,7 +43,6 @@ class DepthPlan:
         "d_snapshot",
         "w_action",
         "s2_just_ended",
-        "cycle_just_ended",
     )
 
     def __init__(self, t: int) -> None:
@@ -56,14 +55,12 @@ class DepthPlan:
         self.d_snapshot: int | None = None
         self.w_action: str | None = None
         self.s2_just_ended = False
-        self.cycle_just_ended = False
 
     def advance(self, dc: int) -> int | None:
         """Process one step given d(query, center); returns the generated bit
         (None on the placement step, which produces no bit)."""
         self.step += 1
         self.s2_just_ended = False
-        self.cycle_just_ended = False
         if self.step == 1:
             self.prev_dc = dc
             self.w_action = None
@@ -98,7 +95,6 @@ class DepthPlan:
                 self.w_action = "reanchor"
                 self.stage = self.S2_DRIFT
                 self.clock = self.t // 6
-                self.cycle_just_ended = True
         bit = 1 if dc + self.m_depth <= self.prev_dc + old_depth else 0
         self.prev_dc = dc
         return bit

@@ -9,7 +9,6 @@ meaningful check rather than a tautology.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 
 from .engine import CatStrategy, IllegalFeedbackError
 from .graphs import Graph, GraphError
@@ -45,29 +44,28 @@ class _DistCache:
         return row
 
 
-def _step_sets(g: Graph, dists: _DistCache, members: set, c_prev: int, c_cur: int, bit: int) -> set:
-    """One layered-reachability step over consistent lazy walks."""
+def _step_sets(g: Graph, dists: _DistCache, members, c_prev: int, c_cur: int, bit: int) -> dict[int, int]:
+    """One layered-reachability step over consistent lazy walks.
+
+    Maps each vertex of the new belief set to the first believed vertex it
+    was reached from; the keys are the new belief set.
+    """
     row_prev = dists.row(c_prev)
     row_cur = dists.row(c_cur)
     want = bit == 1
-    out = set()
+    out: dict[int, int] = {}
     for u in members:
         du = row_prev[u]
         for v in (u, *g.adjacency[u]):
             if v not in out and (row_cur[v] <= du) == want:
-                out.add(v)
+                out[v] = u
     return out
 
 
-def brute_force_beliefs(g: Graph, queries, bits) -> list:
-    """Exact belief sequence from a query/bit record, by forward reachability
-    over the layered graph of (step, vertex) states.
-
-    `queries` lists c_1..c_h; `bits` lists b_2..b_h.  Returns the 1-based
-    list [None, M_1, ..., M_h] of vertex bitmasks (bit v set iff v is
-    believed), the layout of `Transcript.beliefs`.  Guarded against
-    instances too large to enumerate.
-    """
+def _forward(g: Graph, queries, bits) -> list[dict[int, int]]:
+    """The parent maps of `_step_sets` for steps 2..h of a query/bit record,
+    from the whole graph at step 1.  Guarded against instances too large to
+    enumerate."""
     h = len(queries)
     if len(bits) != h - 1:
         raise GraphError(
@@ -77,48 +75,35 @@ def brute_force_beliefs(g: Graph, queries, bits) -> list:
     if g.n * h > 2_000_000:
         raise SizeGuardError(f"brute force refused: n*h = {g.n * h} too large")
     dists = _DistCache(g)
-    members = set(range(g.n))
-    out: list = [None, (1 << g.n) - 1]
+    members = range(g.n)
+    out: list[dict[int, int]] = []
     for j in range(1, h):
         members = _step_sets(g, dists, members, queries[j - 1], queries[j], bits[j - 1])
         if not members:
-            raise IllegalFeedbackError(f"brute force: belief emptied at step {j + 1}")
-        out.append(sum(1 << v for v in members))
+            raise IllegalFeedbackError(f"no consistent lazy walk: belief emptied at step {j + 1}")
+        out.append(members)
     return out
 
 
-def consistent_trajectory(g: Graph, queries, bits, endpoint: int | None = None) -> list[int]:
-    """A lazy walk m_1..m_h consistent with every bit, ending at `endpoint`
-    (default: the lowest vertex in the final belief set)."""
-    h = len(queries)
-    dists = _DistCache(g)
-    layers = [set(range(g.n))]
-    parents: list[dict[int, int]] = [{}]
-    members = layers[0]
-    for j in range(1, h):
-        row_prev = dists.row(queries[j - 1])
-        row_cur = dists.row(queries[j])
-        want = bits[j - 1] == 1
-        nxt: set[int] = set()
-        par: dict[int, int] = {}
-        for u in members:
-            du = row_prev[u]
-            for v in (u, *g.adjacency[u]):
-                if v not in par and (row_cur[v] <= du) == want:
-                    par[v] = u
-                    nxt.add(v)
-        if not nxt:
-            raise IllegalFeedbackError(f"no consistent trajectory through step {j + 1}")
-        layers.append(nxt)
-        parents.append(par)
-        members = nxt
-    if endpoint is None:
-        endpoint = min(members)
-    elif endpoint not in members:
-        raise GraphError(f"vertex {endpoint} is not consistent with the record")
-    path = [endpoint]
-    for j in range(h - 1, 0, -1):
-        path.append(parents[j][path[-1]])
+def brute_force_beliefs(g: Graph, queries, bits) -> list:
+    """Exact belief sequence from a query/bit record, by forward reachability
+    over the layered graph of (step, vertex) states.
+
+    `queries` lists c_1..c_h; `bits` lists b_2..b_h.  Returns the 1-based
+    list [None, M_1, ..., M_h] of vertex bitmasks (bit v set iff v is
+    believed), the layout of `Transcript.beliefs`.
+    """
+    steps = _forward(g, queries, bits)
+    return [None, (1 << g.n) - 1, *(sum(1 << v for v in par) for par in steps)]
+
+
+def consistent_trajectory(g: Graph, queries, bits) -> list[int]:
+    """A lazy walk m_1..m_h consistent with every bit, ending at the lowest
+    vertex in the final belief set."""
+    steps = _forward(g, queries, bits)
+    path = [min(steps[-1]) if steps else 0]
+    for par in reversed(steps):
+        path.append(par[path[-1]])
     path.reverse()
     return path
 
@@ -133,23 +118,6 @@ def _radius_of(g: Graph, dists: _DistCache, members) -> int:
     return best
 
 
-@dataclass
-class SolverResult:
-    """Outcome of the exhaustive belief-state search."""
-
-    winner: str  # "cat_wins" | "mouse_wins"
-    d: int
-    horizon: int
-    root_query: int | None
-    policy: dict = field(default_factory=dict)
-    _ctx: "GameSolver | None" = None
-
-    def extract_cat(self) -> "SolverCat":
-        if self.winner != "cat_wins":
-            raise GraphError("no cat strategy to extract: the mouse wins")
-        return SolverCat(self._ctx, self)
-
-
 class GameSolver:
     """Memoized alternating search over (belief set, previous query) states.
 
@@ -157,7 +125,9 @@ class GameSolver:
     bit whose update is non-empty (each such bit is realized by an actual
     lazy walk, so legal bits and real mice quantify over the same set).
     The cat wins when it can force the belief radius down to d within the
-    horizon.
+    horizon.  `solve` fills in `winner` ("cat_wins" | "mouse_wins") and
+    `root_query`; `policy` maps each won (mask, previous query, steps used)
+    state to the cat's next query.
     """
 
     MAX_N = 10
@@ -175,13 +145,12 @@ class GameSolver:
         self.d = d
         self.horizon = horizon
         self.dists = _DistCache(g)
-        self.nbhd_masks = [
-            (1 << v) | sum(1 << u for u in g.adjacency[v]) for v in range(g.n)
-        ]
         self.full_mask = (1 << g.n) - 1
         self._rad: dict[int, int] = {}
         self._win: dict[tuple[int, int, int], bool] = {}
         self.policy: dict[tuple[int, int, int], int] = {}
+        self.winner: str | None = None
+        self.root_query: int | None = None
 
     def members(self, mask: int) -> list[int]:
         return [v for v in range(self.g.n) if (mask >> v) & 1]
@@ -194,20 +163,8 @@ class GameSolver:
         return r
 
     def update(self, mask: int, c_prev: int, c_cur: int, bit: int) -> int:
-        row_prev = self.dists.row(c_prev)
-        row_cur = self.dists.row(c_cur)
-        want = bit == 1
-        out = 0
-        for u in self.members(mask):
-            du = row_prev[u]
-            cand = self.nbhd_masks[u] & ~out
-            while cand:
-                low = cand & -cand
-                v = low.bit_length() - 1
-                if (row_cur[v] <= du) == want:
-                    out |= low
-                cand ^= low
-        return out
+        out = _step_sets(self.g, self.dists, self.members(mask), c_prev, c_cur, bit)
+        return sum(1 << v for v in out)
 
     def win(self, mask: int, prev: int, used: int) -> bool:
         """Can the cat force success at some step in (used, horizon]?"""
@@ -250,19 +207,24 @@ class GameSolver:
                 return bit, nm
         raise AssertionError("no refuting bit from a mouse-winning state")
 
-    def solve(self) -> SolverResult:
+    def solve(self) -> "GameSolver":
+        self.winner = "cat_wins"
         if self.radius(self.full_mask) <= self.d:
-            # Localized before any information: success at step 1.
-            return SolverResult("cat_wins", self.d, self.horizon, None, {}, self)
+            return self  # localized before any information: success at step 1
         for c1 in range(self.g.n):
             if self.win(self.full_mask, c1, 1):
-                return SolverResult(
-                    "cat_wins", self.d, self.horizon, c1, dict(self.policy), self
-                )
-        return SolverResult("mouse_wins", self.d, self.horizon, None, {}, self)
+                self.root_query = c1
+                return self
+        self.winner = "mouse_wins"
+        return self
+
+    def extract_cat(self) -> "SolverCat":
+        if self.winner != "cat_wins":
+            raise GraphError("no cat strategy to extract: the mouse wins")
+        return SolverCat(self)
 
 
-def exhaustive_game_value(g: Graph, horizon: int, d: int) -> SolverResult:
+def exhaustive_game_value(g: Graph, horizon: int, d: int) -> GameSolver:
     """Value of the localization game on a tiny instance; see GameSolver."""
     return GameSolver(g, d, horizon).solve()
 
@@ -270,9 +232,8 @@ def exhaustive_game_value(g: Graph, horizon: int, d: int) -> SolverResult:
 class SolverCat(CatStrategy):
     """Replays a winning policy extracted from the exhaustive solver."""
 
-    def __init__(self, solver: GameSolver, result: SolverResult) -> None:
+    def __init__(self, solver: GameSolver) -> None:
         self.solver = solver
-        self.result = result
         self.spec = "solver"
         self._mask = solver.full_mask
         self._prev = 0
@@ -280,7 +241,7 @@ class SolverCat(CatStrategy):
         self._last = 0
 
     def first_query(self) -> int:
-        q = self.result.root_query if self.result.root_query is not None else 0
+        q = self.solver.root_query if self.solver.root_query is not None else 0
         self._mask = self.solver.full_mask
         self._prev = q
         self._used = 1
@@ -297,23 +258,22 @@ class SolverCat(CatStrategy):
         if self.solver.radius(self._mask) <= self.solver.d:
             q = self._prev  # already localized; hold
         else:
-            q = self.result.policy.get((self._mask, self._prev, self._used), self._prev)
+            q = self.solver.policy.get((self._mask, self._prev, self._used), self._prev)
         self._last = q
         return q
 
 
-def winning_bit_paths(result: SolverResult) -> list[tuple[list[int], list[int]]]:
+def winning_bit_paths(solver: GameSolver) -> list[tuple[list[int], list[int]]]:
     """All (queries, bits) records that can occur when the winning cat plays
     its policy, one per leaf of the won subtree (success reached)."""
-    solver = result._ctx
-    if result.winner != "cat_wins":
+    if solver.winner != "cat_wins":
         raise GraphError("the cat does not win this instance")
-    if result.root_query is None:
+    if solver.root_query is None:
         return [([0], [])]  # localized at step 1; any single query does
     out: list[tuple[list[int], list[int]]] = []
 
     def walk(mask: int, prev: int, used: int, queries: list[int], bits: list[int]) -> None:
-        cur = result.policy[(mask, prev, used)]
+        cur = solver.policy[(mask, prev, used)]
         for bit in (0, 1):
             nm = solver.update(mask, prev, cur, bit)
             if nm == 0:
@@ -324,15 +284,14 @@ def winning_bit_paths(result: SolverResult) -> list[tuple[list[int], list[int]]]
             else:
                 walk(nm, cur, used + 1, q2, b2)
 
-    walk(solver.full_mask, result.root_query, 1, [result.root_query], [])
+    walk(solver.full_mask, solver.root_query, 1, [solver.root_query], [])
     return out
 
 
-def adversarial_record(result: SolverResult, cat: CatStrategy, horizon: int) -> tuple[list[int], list[int]]:
+def adversarial_record(solver: GameSolver, cat: CatStrategy, horizon: int) -> tuple[list[int], list[int]]:
     """Queries and bits produced when the given cat plays against the
     solver's bit adversary from a mouse-winning root."""
-    solver = result._ctx
-    if result.winner != "mouse_wins":
+    if solver.winner != "mouse_wins":
         raise GraphError("the mouse does not win this instance")
     clone = cat.clone()
     queries = [clone.first_query()]

@@ -23,6 +23,7 @@ from .graphs import (
     BallCover,
     DistanceOracle,
     Graph,
+    GraphError,
     ceil_sqrt,
     gen_spider,
     parse_graph,
@@ -42,23 +43,6 @@ from .solver import (
 
 # ---------------------------------------------------------------------------
 # Small-graph catalog for the oracle-equivalence and solver suites.
-
-def _connected_mask(n: int, pairs, mask: int) -> bool:
-    adj = [[] for _ in range(n)]
-    for idx, (u, v) in enumerate(pairs):
-        if (mask >> idx) & 1:
-            adj[u].append(v)
-            adj[v].append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == n
-
 
 _SIX_VERTEX_EDGE_LISTS = [
     # paths, cycles, stars and a spread of denser shapes
@@ -96,8 +80,10 @@ def small_connected_catalog() -> tuple[Graph, ...]:
             )
         seen: set[int] = set()
         for mask in range(1 << len(pairs)):
-            if not _connected_mask(n, pairs, mask):
-                continue
+            try:
+                g = Graph(n, [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1])
+            except GraphError:
+                continue  # disconnected
             canon = mask
             for remap in remaps:
                 relabeled = 0
@@ -111,8 +97,7 @@ def small_connected_catalog() -> tuple[Graph, ...]:
             if canon in seen:
                 continue
             seen.add(canon)
-            edges = [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
-            graphs.append(Graph(n, edges))
+            graphs.append(g)
     graphs.extend(Graph(6, edges) for edges in _SIX_VERTEX_EDGE_LISTS)
     return tuple(graphs)
 

@@ -5,6 +5,8 @@ One test per criterion, each printing a PASS/FAIL line (visible with
 `catmouse verify` runs exactly the same code.  Two more tests make the bound
 of criteria 4 and 6 unmeetable and require every run to fail; a third gives
 criterion 5 a cat whose anchors certify nothing and requires it to fail.
+A last test breaks the solver's one belief step and requires criteria 1 and
+7, which both reach it, to fail.
 
 Runtime note: the whole module takes on the order of a minute; the heavy
 graphs (n up to 2025) and their distance matrices are cached across
@@ -13,7 +15,7 @@ criteria within the process.
 
 import re
 
-from catmouse import experiment, verify
+from catmouse import experiment, solver, verify
 from catmouse.verify import CRITERIA
 
 
@@ -123,3 +125,25 @@ def test_criterion_5_fails_when_no_anchor_certifies(monkeypatch):
     ok, detail = CRITERIA[5][1](quick=True)
     assert ok is False
     assert detail.startswith("path:n=2000 vs "), detail
+
+
+def test_criteria_1_and_7_fail_when_the_reference_step_is_wrong(monkeypatch):
+    # The solver's step with `<` for `<=`: the brute-force beliefs
+    # (criterion 1) and the minimax search and its witness walks
+    # (criterion 7) all run through it, so both must fail.
+    def strict_step(g, dists, members, c_prev, c_cur, bit):
+        row_prev = dists.row(c_prev)
+        row_cur = dists.row(c_cur)
+        out = {}
+        for u in members:
+            for v in (u, *g.adjacency[u]):
+                if v not in out and (row_cur[v] < row_prev[u]) == (bit == 1):
+                    out[v] = u
+        return out
+
+    monkeypatch.setattr(solver, "_step_sets", strict_step)
+    ok, detail = CRITERIA[1][1](quick=True)
+    assert ok is False
+    assert detail.startswith("belief mismatch at step"), detail
+    ok, detail = CRITERIA[7][1](quick=True)
+    assert ok is False, detail

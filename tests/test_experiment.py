@@ -93,6 +93,14 @@ class TestConfigParsing:
         )
         assert parse_config_text(text).save_transcripts is value
 
+    def test_repeated_field_rejected(self):
+        text = (
+            "graph: path:n=5\ncat: sweep\nmouse: stationary\n"
+            "horizon: 4\nseeds: 1\nseeds: 2,3\n"
+        )
+        with pytest.raises(GraphError, match="line 6: field 'seeds' given twice"):
+            parse_config_text(text)
+
     def test_bad_bound_tag(self):
         text = (
             "graph: path:n=5\ncat: sweep\nmouse: stationary\n"
@@ -175,6 +183,14 @@ class TestRunExperiment:
             horizon=3, seeds=(1,), repetitions=repetitions,
         )
         with pytest.raises(GraphError, match="repetitions"):
+            run_experiment(cfg)
+
+    def test_unknown_bound_kind_rejected(self):
+        cfg = ExperimentConfig(
+            graph="path:n=50", cat="stay", mouse="stationary:seed=40",
+            horizon=3, seeds=(1,), bound_d=0, bound_t=None, bound_kind="uper",
+        )
+        with pytest.raises(GraphError, match="bound_kind"):
             run_experiment(cfg)
 
     def test_malformed_mouse_spec_raises(self):

@@ -65,16 +65,9 @@ class TestConsistentTrajectory:
         replay = run_game(g, SeededRandomCat(g, 4), ScriptedMouse(walk), 6)
         assert replay.b == tr.b
 
-    def test_respects_requested_endpoint(self):
-        g = gen_path(4)
-        walk = consistent_trajectory(g, [0, 0], [1], endpoint=2)
-        assert walk[-1] == 2
-
-    def test_rejects_inconsistent_endpoint(self):
-        g = gen_path(5)
-        # bit 0 from query (0,0) excludes vertex 0
-        with pytest.raises(GraphError):
-            consistent_trajectory(g, [0, 0], [0], endpoint=0)
+    def test_bit_count_mismatch(self):
+        with pytest.raises(GraphError, match="need one bit per step"):
+            consistent_trajectory(gen_path(5), [0, 1, 2], [1])
 
 
 class TestExhaustiveGameValue:
