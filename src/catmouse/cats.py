@@ -111,7 +111,6 @@ class SphereWalkCat(CatStrategy):
 
         self._emitted = 0
         self._pairs = 0
-        self._anchor = 0
         self._champ = 0
         self._mode = self.RUN
         self._U: tuple[int, ...] = ()
@@ -132,7 +131,6 @@ class SphereWalkCat(CatStrategy):
         return tuple(reversed(out))
 
     def _open_phase(self, anchor: int) -> None:
-        self._anchor = anchor
         self._champ = anchor
         level = int(self.levels[anchor])
         self._U = sphere(self.graph, anchor, level, oracle=self.oracle)
@@ -146,22 +144,19 @@ class SphereWalkCat(CatStrategy):
         if self._u_pos >= len(self._U):
             self._phase_log = ((self._pairs, self._champ), self._phase_log)
             if self._pairs >= self.stop_pairs:
-                self._anchor = self._champ
                 self._mode = self.HOLD
             else:
                 self._open_phase(self._champ)
 
     def first_query(self) -> int:
         self._emitted = 1
-        if self._mode == self.HOLD:
-            return self._anchor
         return self._champ
 
     def next_query(self, bit: int | None) -> int:
         t = self._emitted + 1
         self._emitted = t
         if self._mode == self.HOLD:
-            return self._anchor
+            return self._champ
         if t % 2 == 0:
             # Second query of pair t//2: the next sphere candidate.
             self._pending = self._U[self._u_pos]
@@ -174,8 +169,6 @@ class SphereWalkCat(CatStrategy):
                 self._champ = self._pending
             self._pending = None
             self._close_phase_if_done()
-            if self._mode == self.HOLD:
-                return self._anchor
         return self._champ
 
 

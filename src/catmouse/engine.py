@@ -214,20 +214,22 @@ def run_game(
     view.  With track_belief the exact belief mask is recorded per step
     (M_1 = V); track_radius (default: same as track_belief) additionally
     records rad_G(M_i) and its center, which requires the full distance
-    matrix.
+    matrix and track_belief.
     """
     if horizon < 1:
         raise GameError(f"horizon must be >= 1, got {horizon}")
     if track_radius is None:
         track_radius = track_belief
+    if track_radius and not track_belief:
+        raise GameError("track_radius=True needs track_belief=True")
     oracle = oracle or DistanceOracle(g)
     view = GameView(g, oracle, cat)
 
     kernel = BeliefKernel(g, oracle) if track_belief else None
     members: np.ndarray | None = None
     beliefs: list | None = [None] if track_belief else None
-    radii: list | None = [None] if track_belief and track_radius else None
-    centers: list | None = [None] if track_belief and track_radius else None
+    radii: list | None = [None] if track_radius else None
+    centers: list | None = [None] if track_radius else None
 
     c = view.c
     m = view.m

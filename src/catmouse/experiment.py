@@ -27,6 +27,7 @@ from .graphs import (
     ceil_sqrt,
     parse_graph_spec,
     parse_spec_fields,
+    read_fields,
 )
 from .mice import parse_mouse_spec
 
@@ -97,106 +98,68 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:12]
 
 
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
+def _seed_list(text: str) -> tuple[int, ...]:
+    seeds = tuple(int(s) for s in text.split(",") if s.strip())
+    if not seeds:
+        raise ValueError(text)
+    return seeds
+
+
+def _bound(text: str) -> int | str:
+    return text if text in FORMULA_TAGS else int(text)
+
+
+def _bound_kind(text: str) -> str:
+    if text not in ("upper", "lower"):
+        raise ValueError(text)
+    return text
+
+
+def _yes_no(text: str) -> bool:
+    word = text.lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(text)
+    return word in ("1", "true", "yes")
+
+
+CONFIG_FIELDS = {
+    "graph": (str, None),
+    "cat": (str, None),
+    "mouse": (str, None),
+    "horizon": (_at_least_one, None),
+    "seeds": (_seed_list, None),
+    "repetitions": (_at_least_one, 1),
+    "bound_d": (_bound, "sqrt32n"),
+    "bound_t": (_bound, "sqrt2n"),
+    "bound_kind": (_bound_kind, "upper"),
+    "save_transcripts": (_yes_no, False),
+}
+
+
 def parse_config_text(text: str) -> ExperimentConfig:
-    """Parse the key: value config format; collects every offending field."""
-    fields: dict[str, str] = {}
-    problems: list[str] = []
-    known = {
-        "graph",
-        "cat",
-        "mouse",
-        "horizon",
-        "seeds",
-        "repetitions",
-        "bound_d",
-        "bound_t",
-        "bound_kind",
-        "save_transcripts",
-    }
+    """Parse the `key: value` config format.  Fields follow the spec rules of
+    `read_fields`, and every problem is listed in one GraphError."""
+    items = []
     for idx, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, sep, val = line.partition(":")
-        key = key.strip()
-        if not sep:
-            problems.append(f"line {idx}: expected 'key: value', got {raw!r}")
-            continue
-        if key not in known:
-            problems.append(f"line {idx}: unknown field {key!r}")
-            continue
-        if key in fields:
-            problems.append(f"line {idx}: field {key!r} given twice")
-            continue
-        fields[key] = val.strip()
-
-    def intval(key: str, default: int | None = None) -> int | None:
-        if key not in fields:
-            if default is None:
-                problems.append(f"missing required field {key!r}")
-            return default
-        try:
-            return int(fields[key])
-        except ValueError:
-            problems.append(f"field {key!r}: not an integer: {fields[key]!r}")
-            return default
-
-    for key in ("graph", "cat", "mouse"):
-        if key not in fields:
-            problems.append(f"missing required field {key!r}")
-    horizon = intval("horizon")
-    seeds: tuple[int, ...] = ()
-    if "seeds" not in fields:
-        problems.append("missing required field 'seeds'")
-    else:
-        try:
-            seeds = tuple(int(s) for s in fields["seeds"].split(",") if s.strip())
-        except ValueError:
-            problems.append(f"field 'seeds': not a comma-separated integer list")
-        if not seeds:
-            problems.append("field 'seeds': must list at least one seed")
-    repetitions = intval("repetitions", 1)
-    if repetitions < 1:
-        problems.append(f"field 'repetitions': must be >= 1, got {repetitions}")
-    bound_kind = fields.get("bound_kind", "upper")
-    if bound_kind not in ("upper", "lower"):
-        problems.append(f"field 'bound_kind': must be upper or lower, got {bound_kind!r}")
-
-    def bound(key: str, default):
-        raw = fields.get(key)
-        if raw is None:
-            return default
-        if raw in FORMULA_TAGS:
-            return raw
-        try:
-            return int(raw)
-        except ValueError:
-            problems.append(
-                f"field {key!r}: expected an integer or one of {FORMULA_TAGS}, "
-                f"got {raw!r}"
-            )
-            return default
-
-    bound_d = bound("bound_d", "sqrt32n")
-    bound_t = bound("bound_t", "sqrt2n")
-    save = fields.get("save_transcripts", "false")
-    if save.lower() not in ("1", "true", "yes", "0", "false", "no"):
-        problems.append(f"field 'save_transcripts': not true/false/yes/no/1/0: {save!r}")
-
+        if sep:
+            items.append((f"line {idx}: ", key.strip(), val.strip()))
+        else:
+            items.append((f"line {idx}: ", None, f"expected 'key: value', got {raw!r}"))
+    values, problems = read_fields(items, CONFIG_FIELDS)
     if problems:
         raise GraphError("config errors: " + "; ".join(problems))
-    return ExperimentConfig(
-        graph=fields["graph"],
-        cat=fields["cat"],
-        mouse=fields["mouse"],
-        horizon=horizon,
-        seeds=seeds,
-        repetitions=repetitions,
-        bound_d=bound_d,
-        bound_t=bound_t,
-        bound_kind=bound_kind,
-        save_transcripts=save.lower() in ("1", "true", "yes"),
-    )
+    return ExperimentConfig(**values)
 
 
 def resolve_bound(tag: int | str | None, g: Graph, cat, cfg: ExperimentConfig) -> int | None:
@@ -326,7 +289,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Report:
     if cfg.repetitions < 1:
         raise GraphError(f"experiment repetitions must be >= 1, got {cfg.repetitions}")
     if cfg.bound_kind not in ("upper", "lower"):
-        raise GraphError(f"experiment bound_kind must be upper or lower, got {cfg.bound_kind!r}")
+        raise GraphError(f"experiment bound_kind must be 'upper' or 'lower', got {cfg.bound_kind!r}")
     g, oracle, graph_spec = corpus_graph(cfg.graph)
     probe_cat = parse_cat_spec(cfg.cat, g, oracle, default_seed=0)
     bound_d = resolve_bound(cfg.bound_d, g, probe_cat, cfg)

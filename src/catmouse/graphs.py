@@ -14,6 +14,7 @@ import re
 import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,22 +66,9 @@ class Graph:
         self.n = n
         self.edge_count = len(seen)
         self._csr = None
-        self._check_connected()
-
-    def _check_connected(self) -> None:
-        seen = bytearray(self.n)
-        seen[0] = 1
-        queue = deque([0])
-        count = 1
-        while queue:
-            u = queue.popleft()
-            for v in self.adjacency[u]:
-                if not seen[v]:
-                    seen[v] = 1
-                    count += 1
-                    queue.append(v)
-        if count != self.n:
-            raise GraphError(f"graph is disconnected ({count} of {self.n} reachable)")
+        reached = int(np.count_nonzero(bfs_distances(self, 0) >= 0))
+        if reached != n:
+            raise GraphError(f"graph is disconnected ({reached} of {n} reachable)")
 
     def closed_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR layout of closed neighborhoods N[v] = {v} ∪ N(v), for kernels."""
@@ -125,8 +113,8 @@ class Graph:
 def bfs_distances(g: Graph, source: int) -> np.ndarray:
     """Distances from source to every vertex, as an int32 array.
 
-    Entry `source` is 0; all entries are finite because the graph is
-    connected.
+    Entry `source` is 0.  Every entry is finite because the graph is
+    connected; `Graph` checks that by counting the entries that are not -1.
     """
     if not (0 <= source < g.n):
         raise GraphError(f"source {source} out of range for n={g.n}")
@@ -370,9 +358,12 @@ class SpiderSpec:
         return f"spider:t={self.t},extra={self.extra}"
 
 
+@lru_cache(maxsize=16)
 def gen_spider(spec: SpiderSpec) -> Graph:
     """Spider tree: center 0 with t branches of t vertices laid out
-    contiguously, then the padding branch."""
+    contiguously, then the padding branch.  Graphs are immutable, so one
+    graph per spec is shared: the spider evader checks its game graph
+    against this one on every game."""
     t, extra = spec.t, spec.extra
     edges = []
     for b in range(t):
@@ -424,42 +415,66 @@ def gen_random_tree(n: int, seed: int) -> Graph:
     return Graph(n, [(rng.randrange(v), v) for v in range(1, n)])
 
 
-def parse_spec_fields(spec: str, rest: str, fields: dict) -> dict:
-    """Fields of the "k=v,k=v" text `rest` that follows "kind:" in `spec`.
+def read_fields(items, fields: dict) -> tuple[dict, list[str]]:
+    """Values and problems for `(where, key, raw value)` items.
 
     `fields` maps each allowed key to (converter, default); a default of None
-    makes the key required, and an empty map means the kind takes no fields.
-    A converter raises ValueError on a value it rejects.  Every malformed
-    field raises GraphError naming the field and the whole spec.
+    makes the key required, and an empty map means no field is allowed.  A
+    converter takes the raw value and raises ValueError on one it rejects.
+    An item whose key is None carries a problem its caller found while
+    splitting.  Each key gets at most one problem: unknown, given twice,
+    empty, bad value or missing.  Each problem starts with its item's
+    `where`; a missing field has none.
     """
-    out = {}
+    values, problems, seen, faulty = {}, [], set(), set()
+    for where, key, raw in items:
+        if key is None:
+            problems.append(where + raw)
+            continue
+        if key in faulty:
+            continue
+        problem = None
+        if key in seen:
+            problem = f"field {key!r} given twice"
+        elif key not in fields:
+            allowed = ", ".join(fields) or "no fields"
+            problem = f"unknown field {key!r} (allowed: {allowed})"
+        elif not raw.strip():
+            problem = f"field {key!r} is empty"
+        else:
+            try:
+                values[key] = fields[key][0](raw)
+            except ValueError:
+                problem = f"bad value {raw!r} for field {key!r}"
+        seen.add(key)
+        if problem:
+            faulty.add(key)
+            problems.append(where + problem)
+    for key, (_, default) in fields.items():
+        if key not in seen:
+            if default is None:
+                problems.append(f"missing field {key!r}")
+            else:
+                values[key] = default
+    return values, problems
+
+
+def parse_spec_fields(spec: str, rest: str, fields: dict) -> dict:
+    """Fields of the "k=v,k=v" text `rest` that follows "kind:" in `spec`,
+    read by `read_fields`; the first problem raises GraphError naming the
+    field and the whole spec."""
+    items = []
     rest = rest.strip()
     for part in rest.split(",") if rest else ():
         key, sep, val = part.partition("=")
-        key = key.strip()
-        if not sep:
-            raise GraphError(f"spec {spec!r}: field {part.strip()!r} is not key=value")
-        if key not in fields:
-            allowed = ", ".join(fields) or "no fields"
-            raise GraphError(
-                f"spec {spec!r}: unknown field {key!r} (allowed: {allowed})"
-            )
-        if key in out:
-            raise GraphError(f"spec {spec!r}: field {key!r} given twice")
-        if not val.strip():
-            raise GraphError(f"spec {spec!r}: field {key!r} is empty")
-        try:
-            out[key] = fields[key][0](val)
-        except ValueError:
-            raise GraphError(
-                f"spec {spec!r}: bad value {val!r} for field {key!r}"
-            ) from None
-    for key, (_, default) in fields.items():
-        if key not in out:
-            if default is None:
-                raise GraphError(f"spec {spec!r}: missing field {key!r}")
-            out[key] = default
-    return out
+        if sep:
+            items.append(("", key.strip(), val))
+        else:
+            items.append(("", None, f"field {part.strip()!r} is not key=value"))
+    values, problems = read_fields(items, fields)
+    if problems:
+        raise GraphError(f"spec {spec!r}: {problems[0]}")
+    return values
 
 
 SPIDER_FIELDS = {"t": (int, None), "extra": (int, 0)}

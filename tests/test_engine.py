@@ -260,6 +260,11 @@ class TestRunGame:
         with pytest.raises(GameError):
             run_game(g, StayCat(g), StationaryMouse(0), 0)
 
+    def test_radius_needs_beliefs(self):
+        g = gen_path(3)
+        with pytest.raises(GameError, match="track_radius=True needs track_belief=True"):
+            run_game(g, StayCat(g), StationaryMouse(0), 2, track_radius=True)
+
 
 class TestLocalizationReport:
     def test_already_localized_at_step_one(self):

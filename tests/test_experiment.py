@@ -110,6 +110,52 @@ class TestConfigParsing:
             parse_config_text(text)
 
 
+_FIELDS_OK = "graph: path:n=5\ncat: sweep\nmouse: stationary\nhorizon: 4\n"
+
+# One fault of each kind, fed to a spec and to a config: (spec, the spec's
+# problem, config text, the config's problem).  A missing field has no line.
+FIELD_FAULTS = [
+    pytest.param(
+        "spider:x=1", "unknown field 'x'",
+        _FIELDS_OK + "seeds: 1\nx: 1\n", "line 6: unknown field 'x'",
+        id="unknown",
+    ),
+    pytest.param(
+        "spider:t=3,t=4", "field 't' given twice",
+        _FIELDS_OK + "seeds: 1\nseeds: 2\n", "line 6: field 'seeds' given twice",
+        id="repeated",
+    ),
+    pytest.param(
+        "spider:t=", "field 't' is empty",
+        _FIELDS_OK + "seeds:\n", "line 5: field 'seeds' is empty",
+        id="empty",
+    ),
+    pytest.param(
+        "spider:t=x", "bad value 'x' for field 't'",
+        _FIELDS_OK + "seeds: 1,x\n", "line 5: bad value '1,x' for field 'seeds'",
+        id="bad value",
+    ),
+    pytest.param(
+        "spider:extra=2", "missing field 't'",
+        _FIELDS_OK, "missing field 'seeds'",
+        id="missing",
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, spec_problem, config, config_problem", FIELD_FAULTS)
+def test_specs_and_configs_report_a_fault_alike(spec, spec_problem, config, config_problem):
+    with pytest.raises(GraphError) as err:
+        parse_graph_spec(spec)
+    assert str(err.value).startswith(f"spec {spec!r}: {spec_problem}")
+    with pytest.raises(GraphError) as err:
+        parse_config_text(config)
+    message = str(err.value)
+    assert message.startswith(f"config errors: {config_problem}")
+    field = config_problem.split("'")[1]
+    assert message.count(f"'{field}'") == 1
+
+
 class TestBoundResolution:
     def test_formula_tags(self):
         g, _ = parse_graph_spec("spider:t=12,extra=0")
@@ -302,6 +348,12 @@ USAGE_ERRORS = [
             "--distance",
         ),
         ("config repetitions 0", _config(repetitions=0), "'repetitions'"),
+        ("config graph empty", ["experiment", _config()[1].replace("path:n=9", "")], "'graph'"),
+        (
+            "config horizon 0",
+            ["experiment", _config()[1].replace("horizon: 4", "horizon: 0")],
+            "'horizon'",
+        ),
         ("config repetitions -2", _config(repetitions=-2), "'repetitions'"),
         ("config mouse rw:seed=z", _config(mouse="rw:seed=z"), "'seed'"),
         ("config cat fat:c=0", _config(cat="fat:c=0"), "'c'"),

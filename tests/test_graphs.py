@@ -83,7 +83,7 @@ class TestGraphConstruction:
             Graph(2, [(0, 1), (1, 0)])
 
     def test_rejects_disconnected(self):
-        with pytest.raises(GraphError, match="disconnected"):
+        with pytest.raises(GraphError, match=r"disconnected \(2 of 4 reachable\)"):
             Graph(4, [(0, 1), (2, 3)])
 
     def test_rejects_out_of_range(self):
@@ -270,6 +270,9 @@ class TestSpider:
 
     def test_t1_is_p2(self):
         assert gen_spider(SpiderSpec(1, 0)) == gen_path(2)
+
+    def test_one_graph_per_spec(self):
+        assert gen_spider(SpiderSpec(5, 2)) is gen_spider(SpiderSpec(5, 2))
 
     def test_layout_roundtrip(self):
         sp = SpiderSpec(5, 2)
