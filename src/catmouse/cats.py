@@ -282,12 +282,12 @@ def sqrt_cat(g: Graph, oracle: DistanceOracle | None = None) -> BallCoverCat:
 
 
 def _fat_c(val: str) -> str:
-    """The fat cat's c, checked finite and positive but kept as written,
-    because the cat's spec string repeats it verbatim."""
+    """The fat cat's c, checked finite and positive but kept as written
+    (stripped), because the cat's spec string repeats it verbatim."""
     c = float(val)
     if not (math.isfinite(c) and c > 0):
         raise ValueError(val)
-    return val
+    return val.strip()
 
 
 def _thin_K(val: str) -> int | str:

@@ -187,13 +187,10 @@ class Transcript:
 
 
 def mask_radius(oracle: DistanceOracle, members: np.ndarray) -> tuple[int, int]:
-    """Exact radius and lowest-id center of a believed set given as a bool
-    array; needs the full distance matrix."""
-    cols = np.flatnonzero(members)
-    sub = oracle.full_matrix().take(cols, axis=1)
-    worst = sub.max(axis=1)
-    center = int(worst.argmin())
-    return int(worst[center]), center
+    """Exact radius and lowest-id center of a non-empty believed set given as
+    a bool array (`DistanceOracle.set_radius`); rows come from the oracle's
+    cache, or from its matrix when a caller built one."""
+    return oracle.set_radius(np.flatnonzero(members))
 
 
 def run_game(
@@ -213,8 +210,8 @@ def run_game(
     The mouse moves first each step and may simulate the cat through the
     view.  With track_belief the exact belief mask is recorded per step
     (M_1 = V); track_radius (default: same as track_belief) additionally
-    records rad_G(M_i) and its center, which requires the full distance
-    matrix and track_belief.
+    records rad_G(M_i) and its center by `mask_radius`, and requires
+    track_belief.
     """
     if horizon < 1:
         raise GameError(f"horizon must be >= 1, got {horizon}")

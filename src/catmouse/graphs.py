@@ -2,8 +2,8 @@
 
 Vertices are always the integers 0..n-1.  All graphs are simple, undirected
 and connected; the constructor enforces this so every other module can rely
-on it.  Distances come from a caching BFS oracle; a full all-pairs matrix is
-built lazily for graphs small enough to afford n BFS runs.
+on it.  Distances come from a caching BFS oracle; a caller may also have it
+build the full all-pairs matrix, for graphs small enough to afford n BFS runs.
 """
 
 from __future__ import annotations
@@ -137,21 +137,24 @@ def bfs_distances(g: Graph, source: int) -> np.ndarray:
 class DistanceOracle:
     """Caching distance oracle over a fixed graph.
 
-    Single-source rows are cached with an LRU budget.  When the graph has at
-    most `full_matrix_threshold` vertices, the full all-pairs matrix may be
-    materialized (lazily, on first request) and rows are then served as views
-    into it.  Cache fills are lock-protected so concurrent readers always
-    observe correct distances.
+    Single-source rows are cached with an LRU budget.  The full all-pairs
+    matrix is optional: nothing in the package needs it, but a caller may
+    build it (lazily, by `full_matrix`, for graphs of at most
+    `full_matrix_threshold` vertices), and rows are then served as views into
+    it.  Cache fills are lock-protected so concurrent readers always observe
+    correct distances.
     """
 
     full_matrix_threshold = 4096
     row_cache_size = 4096
+    radius_eval_budget = 64
 
     def __init__(self, g: Graph) -> None:
         self.graph = g
         self._rows: OrderedDict[int, np.ndarray] = OrderedDict()
         self._matrix: np.ndarray | None = None
         self._diameter: int | None = None
+        self._radius: tuple[int, int] | None = None
         self._lock = threading.Lock()
         self._thin_table: np.ndarray | None = None
 
@@ -212,6 +215,56 @@ class DistanceOracle:
                 self.eccentricity(v) for v in range(self.graph.n)
             )
         return self._diameter
+
+    def set_radius(self, members: np.ndarray) -> tuple[int, int]:
+        """Exact radius and lowest-id center of a non-empty vertex set, given
+        as ascending ids: the least ecc_M(v) = max over w in M of d(v, w),
+        over all v.
+
+        Eccentricity-bound pruning (Takes & Kosters 2013): lb(v) is the max
+        of d(x, v) over some members x, so lb(v) <= ecc_M(v).  It starts from
+        a double sweep, members a, b (farthest from a in M) and c (farthest
+        from b), and takes in the member farthest from each evaluated vertex
+        whose bound fell short.  Vertices are evaluated in (lb, id) order
+        until the next cannot beat the best (ecc, id) so far, so the center
+        is the lowest id.  Where the bound cannot cut, after
+        `radius_eval_budget` evaluations, the elementwise max of the members'
+        rows gives every ecc_M at once (distance is symmetric).  The result
+        for M = V is cached.
+        """
+        n = self.graph.n
+        if members.size == 0 or members[0] < 0 or members[-1] >= n:
+            raise GraphError(f"set radius needs a non-empty set of ids in 0..{n - 1}")
+        whole = members.size == n
+        if whole and self._radius is not None:
+            return self._radius
+        row_a = self.row(int(members[0]))
+        row_b = self.row(int(members[row_a[members].argmax()]))
+        row_c = self.row(int(members[row_b[members].argmax()]))
+        lb = np.maximum(np.maximum(row_a, row_b), row_c)
+        done = np.int32(n)  # above every distance: marks an evaluated vertex
+        best, center = n, n
+        for _ in range(self.radius_eval_budget):
+            v = int(lb.argmin())
+            bound = int(lb[v])
+            if bound > best or (bound == best and v > center):
+                break
+            far = self.row(v)[members]
+            e = int(far.max())
+            if e < best or (e == best and v < center):
+                best, center = e, v
+            if e > bound:
+                np.maximum(lb, self.row(int(members[far.argmax()])), out=lb)
+            lb[v] = done
+        else:
+            ecc = np.zeros(n, dtype=np.int32)
+            for w in members.tolist():
+                np.maximum(ecc, self.row(w), out=ecc)
+            center = int(ecc.argmin())
+            best = int(ecc[center])
+        if whole:
+            self._radius = (best, center)
+        return best, center
 
     def thin_levels(self, K: int) -> np.ndarray:
         """Per-vertex `thin_level` below K (-1 if none), read-only: one table

@@ -147,6 +147,7 @@ class GameSolver:
         self.dists = _DistCache(g)
         self.full_mask = (1 << g.n) - 1
         self._rad: dict[int, int] = {}
+        self._step: dict[tuple[int, int, int, int], int] = {}
         self._win: dict[tuple[int, int, int], bool] = {}
         self.policy: dict[tuple[int, int, int], int] = {}
         self.winner: str | None = None
@@ -163,8 +164,12 @@ class GameSolver:
         return r
 
     def update(self, mask: int, c_prev: int, c_cur: int, bit: int) -> int:
-        out = _step_sets(self.g, self.dists, self.members(mask), c_prev, c_cur, bit)
-        return sum(1 << v for v in out)
+        key = (mask, c_prev, c_cur, bit)
+        out = self._step.get(key)
+        if out is None:
+            step = _step_sets(self.g, self.dists, self.members(mask), c_prev, c_cur, bit)
+            out = self._step[key] = sum(1 << v for v in step)
+        return out
 
     def win(self, mask: int, prev: int, used: int) -> bool:
         """Can the cat force success at some step in (used, horizon]?"""

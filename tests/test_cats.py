@@ -340,6 +340,14 @@ class TestParseCatSpec:
         thin = parse_cat_spec("thin:K=auto", g, oracle)
         assert thin.K >= ceil_sqrt(9 * 30)
 
+    def test_fat_spec_drops_spaces_around_c(self):
+        g = gen_cycle(30)
+        oracle = DistanceOracle(g)
+        for raw in ("fat: c = 2.5 ", "fat:c= 2.5", "fat:c=2.5"):
+            assert parse_cat_spec(raw, g, oracle).spec == "fat:c=2.5"
+        assert parse_cat_spec("fat:c=0.5", g, oracle).spec == "fat:c=0.5"
+        assert parse_cat_spec("fat:c=1.0", g, oracle).spec == "fat:c=1.0"
+
     def test_default_seed_flows_into_rand(self):
         g = gen_path(10)
         cat = parse_cat_spec("rand", g, default_seed=42)

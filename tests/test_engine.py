@@ -20,7 +20,15 @@ from catmouse.engine import (
     mask_radius,
     run_game,
 )
-from catmouse.graphs import DistanceOracle, gen_cycle, gen_grid, gen_path, gen_random_tree
+from catmouse.graphs import (
+    DistanceOracle,
+    Graph,
+    GraphError,
+    gen_cycle,
+    gen_grid,
+    gen_path,
+    gen_random_tree,
+)
 from catmouse.mice import RandomWalkMouse, ScriptedMouse, StationaryMouse
 
 
@@ -154,11 +162,120 @@ def test_kernel_matches_solver_on_arbitrary_beliefs(case):
     assert set(members_of(got)) == set(expected)
 
 
+def column_gather_radius(oracle, members):
+    """The radius path `mask_radius` replaced, kept as its reference: every
+    vertex's eccentricity over M from the columns of the full matrix."""
+    cols = np.flatnonzero(members)
+    worst = oracle.full_matrix().take(cols, axis=1).max(axis=1)
+    center = int(worst.argmin())
+    return int(worst[center]), center
+
+
+@st.composite
+def radius_cases(draw):
+    kind = draw(st.sampled_from(("tree", "chords", "cycle", "grid")))
+    if kind in ("tree", "chords"):
+        g = gen_random_tree(draw(st.integers(2, 40)), draw(st.integers(0, 2**20)))
+        if kind == "chords":
+            pairs = st.tuples(st.integers(0, g.n - 1), st.integers(0, g.n - 1))
+            extra = {(min(p), max(p)) for p in draw(st.lists(pairs, max_size=20)) if p[0] != p[1]}
+            g = Graph(g.n, sorted(set(g.edges()) | extra))
+    elif kind == "cycle":
+        g = gen_cycle(draw(st.integers(3, 120)))
+    else:
+        g = gen_grid(draw(st.integers(1, 8)), draw(st.integers(2, 8)))
+    size = draw(st.sampled_from(("one", "all", "some")))
+    if size == "one":
+        members = {draw(st.integers(0, g.n - 1))}
+    elif size == "all":
+        members = set(range(g.n))
+    else:
+        members = draw(st.sets(st.integers(0, g.n - 1), min_size=1))
+    return g, members, draw(st.sampled_from((1, 2, 5, 64))), draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=radius_cases())
+def test_mask_radius_matches_column_gather_and_solver(case):
+    """Pruned radius and centre equal the column gather's on any non-empty
+    set of a tree, a tree with chords, a cycle or a grid, under any
+    evaluation budget (a budget of 1 always takes the dense fallback), with
+    or without the matrix; the radius also equals the solver's brute force
+    on graphs it accepts."""
+    g, members, budget, with_matrix = case
+    arr = np.zeros(g.n, dtype=bool)
+    arr[list(members)] = True
+    oracle = DistanceOracle(g)
+    oracle.radius_eval_budget = budget
+    if with_matrix:
+        oracle.full_matrix()
+    got = mask_radius(oracle, arr)
+    assert got == column_gather_radius(DistanceOracle(g), arr)
+    assert mask_radius(oracle, arr) == got  # the cached M = V answer too
+    if g.n <= solver.GameSolver.MAX_N:
+        assert got[0] == solver._radius_of(g, solver._DistCache(g), sorted(members))
+
+
+class _CountingOracle(DistanceOracle):
+    def __init__(self, g):
+        super().__init__(g)
+        self.row_calls = 0
+
+    def row(self, v):
+        self.row_calls += 1
+        return super().row(v)
+
+
+def test_mask_radius_falls_back_to_dense_where_pruning_cannot_cut():
+    # On a cycle almost every vertex has eccentricity n/2 over V minus one
+    # vertex, and a bound from a few members' rows stays below that on most
+    # vertices; after the budget of evaluations the answer takes one row per
+    # member.
+    g = gen_cycle(200)
+    arr = np.ones(g.n, dtype=bool)
+    arr[0] = False
+    oracle = _CountingOracle(g)
+    assert mask_radius(oracle, arr) == column_gather_radius(DistanceOracle(g), arr)
+    assert oracle.row_calls >= oracle.radius_eval_budget + arr.sum()
+
+
+def test_mask_radius_of_whole_graph_is_cached_per_oracle():
+    g = gen_grid(9, 9)
+    oracle = _CountingOracle(g)
+    whole = np.ones(g.n, dtype=bool)
+    assert mask_radius(oracle, whole) == (8, 40)
+    calls = oracle.row_calls
+    assert mask_radius(oracle, whole) == (8, 40)
+    assert oracle.row_calls == calls
+
+
+def test_mask_radius_rejects_empty_and_out_of_range_sets():
+    oracle = DistanceOracle(gen_path(5))
+    with pytest.raises(GraphError, match="non-empty set of ids in 0..4"):
+        mask_radius(oracle, np.zeros(5, dtype=bool))
+    for ids in ([-1, 2], [3, 5]):
+        with pytest.raises(GraphError, match="non-empty set of ids in 0..4"):
+            oracle.set_radius(np.array(ids))
+
+
 class TestRunGame:
     def test_horizon_one_radius_is_whole_graph(self):
         g = gen_grid(3, 3)
         tr = run_game(g, StayCat(g), StationaryMouse(4), 1, track_belief=True)
         assert tr.belief_radius[1] == mask_radius(DistanceOracle(g), np.ones(g.n, dtype=bool))[0]
+
+    def test_tracks_radius_without_the_matrix_beyond_its_size(self):
+        g = gen_path(5000)  # more vertices than full_matrix_threshold
+        oracle = DistanceOracle(g)
+        tr = run_game(
+            g, SweepCat(g), RandomWalkMouse(3), 4, track_belief=True, oracle=oracle
+        )
+        assert oracle._matrix is None
+        assert tr.belief_radius[1] == 2500 and tr.belief_center[1] == 2499
+        for i in range(1, 5):
+            members = np.flatnonzero(tr.belief_members(i))
+            ecc = [max(abs(v - w) for w in (members[0], members[-1])) for v in range(g.n)]
+            assert (tr.belief_radius[i], tr.belief_center[i]) == (min(ecc), ecc.index(min(ecc)))
 
     def test_stationary_mouse_constant_queries_all_ones(self):
         g = gen_cycle(8)

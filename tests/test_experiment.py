@@ -408,6 +408,18 @@ class TestCli:
         assert payload["horizon"] == 5
         assert payload["belief_radius"][1] == 4
 
+    def test_simulate_tracks_belief_beyond_the_matrix_size(self, capsys):
+        # 5000 > DistanceOracle.full_matrix_threshold: the radius needs rows only.
+        code = main(
+            [
+                "simulate", "--graph", "path:n=5000", "--cat", "sweep",
+                "--mouse", "stationary", "--horizon", "5", "--track-belief",
+            ]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["belief_radius"][1] == 2500
+
     def test_experiment_pass_exit_zero(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(
