@@ -35,11 +35,10 @@ class BallCoverCat(CatStrategy):
     4L + k of the mouse's position at step 2L-1.
     """
 
-    def __init__(self, g: Graph, cover: BallCover, oracle: DistanceOracle | None = None) -> None:
+    def __init__(self, oracle: DistanceOracle, cover: BallCover) -> None:
         if not cover.centers:
             raise GraphError("ball-cover cat needs at least one center")
-        cover.validate(g, oracle)
-        self.graph = g
+        cover.validate(oracle)
         self.cover = cover
         self.centers = cover.centers
         self.L = cover.count
@@ -91,21 +90,20 @@ class SphereWalkCat(CatStrategy):
 
     RUN, HOLD = 0, 1
 
-    def __init__(self, g: Graph, K: int, oracle: DistanceOracle | None = None) -> None:
+    def __init__(self, oracle: DistanceOracle, K: int) -> None:
         if K < 1:
             raise GraphError(f"sphere-walk cat needs K >= 1, got {K}")
-        self.graph = g
-        self.oracle = oracle or DistanceOracle(g)
+        self.oracle = oracle
         self.K = K
-        levels = self.oracle.thin_levels(K)
-        missing = [v for v in range(g.n) if levels[v] < 0]
+        levels = oracle.thin_levels(K)
+        missing = [v for v in range(oracle.graph.n) if levels[v] < 0]
         if missing:
             raise GraphError(
                 f"vertex {missing[0]} has no sphere of size < l/4 below K={K}; "
                 "raise K"
             )
         self.levels = levels
-        self.D = self.oracle.diameter()
+        self.D = oracle.diameter()
         self.stop_pairs = (self.D + 1) // 2
         self.spec = f"thin:K={K}"
 
@@ -133,7 +131,7 @@ class SphereWalkCat(CatStrategy):
     def _open_phase(self, anchor: int) -> None:
         self._champ = anchor
         level = int(self.levels[anchor])
-        self._U = sphere(self.graph, anchor, level, oracle=self.oracle)
+        self._U = sphere(self.oracle, anchor, level)
         self._u_pos = 0
         if not self._U:
             # Empty sphere at the thin level: every vertex is closer than the
@@ -254,10 +252,10 @@ class ScriptedCat(CatStrategy):
         return self._query_at(self._emitted)
 
 
-def auto_thin_K(g: Graph, oracle: DistanceOracle | None = None) -> int:
+def auto_thin_K(g: Graph, oracle: DistanceOracle) -> int:
     """Smallest K of the form max(ceil(3*sqrt(n)), minimal valid) so the
-    sphere-walk cat is always constructible."""
-    oracle = oracle or DistanceOracle(g)
+    sphere-walk cat is always constructible; `oracle` must be g's own."""
+    oracle.check_graph(g)
     K = ceil_sqrt(9 * g.n)
     cap = g.n + 2
     levels = oracle.thin_levels(cap)
@@ -265,18 +263,17 @@ def auto_thin_K(g: Graph, oracle: DistanceOracle | None = None) -> int:
     return max(K, needed)
 
 
-def sqrt_cat(g: Graph, oracle: DistanceOracle | None = None) -> BallCoverCat:
+def sqrt_cat(oracle: DistanceOracle) -> BallCoverCat:
     """Composed strategy: scattered cover at separation ceil(sqrt(8n)), then
     ball-cover elimination.
 
     Localizes to distance at most ceil(sqrt(32n)) within ceil(sqrt(2n))
     steps on any connected graph.
     """
-    if g.n < 2:
+    n = oracle.graph.n
+    if n < 2:
         raise GraphError("sqrt cat needs n >= 2")
-    oracle = oracle or DistanceOracle(g)
-    cover = scattered_cover(g, ceil_sqrt(8 * g.n), oracle)
-    cat = BallCoverCat(g, cover, oracle)
+    cat = BallCoverCat(oracle, scattered_cover(oracle, ceil_sqrt(8 * n)))
     cat.spec = "sqrt"
     return cat
 
@@ -298,21 +295,21 @@ def _thin_K(val: str) -> int | str:
 def parse_cat_spec(
     spec: str,
     g: Graph,
-    oracle: DistanceOracle | None = None,
+    oracle: DistanceOracle,
     default_seed: int = 0,
 ) -> CatStrategy:
-    """Build a cat from its CLI spec string.
+    """Build a cat from its CLI spec string; `oracle` must be g's own.
 
     Forms: "sqrt", "sweep", "stay", "rand" / "rand:seed=7", "fat:c=2.83",
     "thin:K=auto" / "thin:K=12".  A bare "rand" uses `default_seed`.
     """
-    oracle = oracle or DistanceOracle(g)
+    oracle.check_graph(g)
     kind, _, rest = spec.partition(":")
     kind = kind.strip()
     if kind in ("sqrt", "sweep", "stay"):
         parse_spec_fields(spec, rest, {})
         if kind == "sqrt":
-            return sqrt_cat(g, oracle)
+            return sqrt_cat(oracle)
         return SweepCat(g) if kind == "sweep" else StayCat(g)
     if kind == "rand":
         fields = parse_spec_fields(spec, rest, {"seed": (int, default_seed)})
@@ -320,12 +317,12 @@ def parse_cat_spec(
     if kind == "fat":
         val = parse_spec_fields(spec, rest, {"c": (_fat_c, None)})["c"]
         separation = max(1, math.ceil(float(val) * math.sqrt(g.n)))
-        cat = BallCoverCat(g, scattered_cover(g, separation, oracle), oracle)
+        cat = BallCoverCat(oracle, scattered_cover(oracle, separation))
         cat.spec = f"fat:c={val}"
         return cat
     if kind == "thin":
         K = parse_spec_fields(spec, rest, {"K": (_thin_K, None)})["K"]
-        cat = SphereWalkCat(g, auto_thin_K(g, oracle) if K == "auto" else K, oracle)
+        cat = SphereWalkCat(oracle, auto_thin_K(g, oracle) if K == "auto" else K)
         cat.spec = f"thin:K={K}"
         return cat
     raise GraphError(f"unknown cat spec {spec!r}")

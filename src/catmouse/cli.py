@@ -114,12 +114,8 @@ def _cmd_minimax(args) -> int:
 
 def _cmd_cover(args) -> int:
     g, canonical = parse_graph_spec(args.graph)
-    oracle = DistanceOracle(g)
-    if args.separation is not None:
-        separation = args.separation
-    else:
-        separation = ceil_sqrt(8 * g.n)
-    cover = scattered_cover(g, separation, oracle)
+    separation = ceil_sqrt(8 * g.n) if args.separation is None else args.separation
+    cover = scattered_cover(DistanceOracle(g), separation)
     payload = {
         "graph": canonical,
         "separation": separation,

@@ -61,9 +61,9 @@ class BeliefKernel:
     _NONE_MAX = np.int32(-1)
     _NONE_MIN = np.int32(2**30)
 
-    def __init__(self, g: Graph, oracle: DistanceOracle) -> None:
+    def __init__(self, oracle: DistanceOracle) -> None:
         self.oracle = oracle
-        indptr, indices = g.closed_csr()
+        indptr, indices = oracle.graph.closed_csr()
         self._starts = indptr[:-1]
         self._indices = indices
 
@@ -130,8 +130,8 @@ class GameView:
 
     __slots__ = ("graph", "oracle", "step", "c", "m", "b", "_cat")
 
-    def __init__(self, graph: Graph, oracle: DistanceOracle, cat: CatStrategy) -> None:
-        self.graph = graph
+    def __init__(self, oracle: DistanceOracle, cat: CatStrategy) -> None:
+        self.graph = oracle.graph
         self.oracle = oracle
         self.step = 1
         self.c: list[int | None] = [None]
@@ -201,7 +201,7 @@ def run_game(
     *,
     track_belief: bool = False,
     track_radius: bool | None = None,
-    oracle: DistanceOracle | None = None,
+    oracle: DistanceOracle,
     graph_spec: str | None = None,
     meta: dict | None = None,
 ) -> Transcript:
@@ -211,7 +211,7 @@ def run_game(
     view.  With track_belief the exact belief mask is recorded per step
     (M_1 = V); track_radius (default: same as track_belief) additionally
     records rad_G(M_i) and its center by `mask_radius`, and requires
-    track_belief.
+    track_belief.  `oracle` must be g's own: every bit reads its distances.
     """
     if horizon < 1:
         raise GameError(f"horizon must be >= 1, got {horizon}")
@@ -219,10 +219,10 @@ def run_game(
         track_radius = track_belief
     if track_radius and not track_belief:
         raise GameError("track_radius=True needs track_belief=True")
-    oracle = oracle or DistanceOracle(g)
-    view = GameView(g, oracle, cat)
+    oracle.check_graph(g)
+    view = GameView(oracle, cat)
 
-    kernel = BeliefKernel(g, oracle) if track_belief else None
+    kernel = BeliefKernel(oracle) if track_belief else None
     members: np.ndarray | None = None
     beliefs: list | None = [None] if track_belief else None
     radii: list | None = [None] if track_radius else None

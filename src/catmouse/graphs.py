@@ -4,6 +4,7 @@ Vertices are always the integers 0..n-1.  All graphs are simple, undirected
 and connected; the constructor enforces this so every other module can rely
 on it.  Distances come from a caching BFS oracle; a caller may also have it
 build the full all-pairs matrix, for graphs small enough to afford n BFS runs.
+A function that reads distances takes the oracle, whose `graph` is the graph.
 """
 
 from __future__ import annotations
@@ -158,6 +159,11 @@ class DistanceOracle:
         self._lock = threading.Lock()
         self._thin_table: np.ndarray | None = None
 
+    def check_graph(self, g: Graph) -> None:
+        """Raise unless this oracle was built on g itself, not on a copy."""
+        if self.graph is not g:
+            raise GraphError(f"oracle is over {self.graph!r}, not the given {g!r}")
+
     def row(self, v: int) -> np.ndarray:
         """Distance row from v (read-only)."""
         if not (0 <= v < self.graph.n):
@@ -233,7 +239,7 @@ class DistanceOracle:
         for M = V is cached.
         """
         n = self.graph.n
-        if members.size == 0 or members[0] < 0 or members[-1] >= n:
+        if members.size == 0 or members.min() < 0 or members.max() >= n:
             raise GraphError(f"set radius needs a non-empty set of ids in 0..{n - 1}")
         whole = members.size == n
         if whole and self._radius is not None:
@@ -287,19 +293,18 @@ class DistanceOracle:
         return out
 
 
-def sphere(g: Graph, v: int, level: int, oracle: DistanceOracle | None = None) -> tuple[int, ...]:
+def sphere(oracle: DistanceOracle, v: int, level: int) -> tuple[int, ...]:
     """Vertices at distance exactly `level` from v, ascending ids.
 
     Empty beyond the eccentricity of v; level 0 yields (v,).
     """
     if level < 0:
         raise GraphError(f"sphere level must be >= 0, got {level}")
-    oracle = oracle or DistanceOracle(g)
     row = oracle.row(v)
     return tuple(int(w) for w in np.flatnonzero(row == level))
 
 
-def thin_level(g: Graph, v: int, K: int, oracle: DistanceOracle | None = None) -> int | None:
+def thin_level(oracle: DistanceOracle, v: int, K: int) -> int | None:
     """Smallest level l with 1 <= l < K whose sphere around v has size < l/4.
 
     The comparison is the exact integer test 4*|sphere| < l.  Returns None
@@ -307,7 +312,6 @@ def thin_level(g: Graph, v: int, K: int, oracle: DistanceOracle | None = None) -
     """
     if K < 1:
         raise GraphError(f"K must be >= 1, got {K}")
-    oracle = oracle or DistanceOracle(g)
     row = oracle.row(v)
     counts = np.bincount(row, minlength=K)
     for level in range(1, K):
@@ -327,11 +331,10 @@ class BallCover:
     def count(self) -> int:
         return len(self.centers)
 
-    def validate(self, g: Graph, oracle: DistanceOracle | None = None) -> None:
+    def validate(self, oracle: DistanceOracle) -> None:
         """Raise unless every vertex lies within radius_k of some center."""
         if not self.centers:
             raise GraphError("ball cover has no centers")
-        oracle = oracle or DistanceOracle(g)
         nearest = oracle.row(self.centers[0]).copy()
         for c in self.centers[1:]:
             np.minimum(nearest, oracle.row(c), out=nearest)
@@ -344,7 +347,7 @@ class BallCover:
             )
 
 
-def scattered_cover(g: Graph, separation: int, oracle: DistanceOracle | None = None) -> BallCover:
+def scattered_cover(oracle: DistanceOracle, separation: int) -> BallCover:
     """Greedy maximal scattered set, returned as a ball cover.
 
     Scans vertices in ascending id and keeps v when it is at distance >=
@@ -353,10 +356,10 @@ def scattered_cover(g: Graph, separation: int, oracle: DistanceOracle | None = N
     """
     if separation < 1:
         raise GraphError(f"separation must be >= 1, got {separation}")
-    oracle = oracle or DistanceOracle(g)
-    nearest = np.full(g.n, np.iinfo(np.int32).max, dtype=np.int32)
+    n = oracle.graph.n
+    nearest = np.full(n, np.iinfo(np.int32).max, dtype=np.int32)
     centers = []
-    for v in range(g.n):
+    for v in range(n):
         if nearest[v] >= separation:
             centers.append(v)
             np.minimum(nearest, oracle.row(v), out=nearest)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import time
+import traceback
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -158,8 +159,13 @@ _FAT_EXHAUSTIVE = (
 )
 
 
-def _star10() -> Graph:
-    return Graph(10, [(0, i) for i in range(1, 10)])
+def _small_graph(spec: str) -> tuple[Graph, DistanceOracle]:
+    """A corpus graph and its shared oracle; "starN" is a star on N vertices."""
+    if spec.startswith("star"):
+        n = int(spec[4:])
+        g = Graph(n, [(0, i) for i in range(1, n)])
+        return g, DistanceOracle(g)
+    return corpus_graph(spec)[:2]
 
 
 def _lazy_walks(g: Graph, length: int):
@@ -181,10 +187,9 @@ def check_fat_bound(quick: bool = False) -> tuple[bool, str]:
     # (a) exhaustive over every lazy walk on five fixed small instances
     checked = 0
     for spec, centers, k in _FAT_EXHAUSTIVE:
-        g = _star10() if spec == "star10" else corpus_graph(spec)[0]
-        oracle = DistanceOracle(g)
+        g, oracle = _small_graph(spec)
         cover = BallCover(centers=tuple(centers), radius_k=k)
-        cat = BallCoverCat(g, cover, oracle)
+        cat = BallCoverCat(oracle, cover)
         L = cover.count
         bound = 4 * L + k
         for traj in _lazy_walks(g, 2 * L):
@@ -208,7 +213,7 @@ def check_fat_bound(quick: bool = False) -> tuple[bool, str]:
     n_mice = 10 if quick else 100
     for spec, separation in corpus:
         g, oracle, _ = corpus_graph(spec)
-        cover = scattered_cover(g, separation, oracle)
+        cover = scattered_cover(oracle, separation)
         L, k = cover.count, cover.radius_k
         if L < 2:
             return False, f"{spec}: separation {separation} degenerates to one ball"
@@ -217,7 +222,7 @@ def check_fat_bound(quick: bool = False) -> tuple[bool, str]:
             mouse = parse_mouse_spec(
                 ("rw:seed={s}", "greedy:seed={s}", "stationary:seed={s}")[s % 3].format(s=s)
             )
-            cat = BallCoverCat(g, cover, oracle)
+            cat = BallCoverCat(oracle, cover)
             tr = run_game(
                 g, cat, mouse, 2 * L,
                 track_belief=True, track_radius=False, oracle=oracle,
@@ -243,9 +248,7 @@ def check_fat_bound(quick: bool = False) -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 # Criterion 3: sphere-walk guarantee and per-phase inequalities.
 
-def _thin_phase_checks(
-    g: Graph, oracle: DistanceOracle, cat: SphereWalkCat, tr, bound: int
-) -> str | None:
+def _thin_phase_checks(oracle: DistanceOracle, cat: SphereWalkCat, tr, bound: int) -> str | None:
     """Returns an error string or None.  Checks the stop-boundary guarantee, the
     per-phase descent/cap inequalities, and the phase pair budget."""
     K = cat.K
@@ -310,9 +313,9 @@ def check_thin_bound(quick: bool = False) -> tuple[bool, str]:
             mouse = parse_mouse_spec(
                 ("rw:seed={s}", "greedy:seed={s}", "stationary:seed={s}")[s % 3].format(s=s)
             )
-            cat = SphereWalkCat(g, K, oracle)
+            cat = SphereWalkCat(oracle, K)
             tr = run_game(g, cat, mouse, horizon, oracle=oracle)
-            err = _thin_phase_checks(g, oracle, cat, tr, bound)
+            err = _thin_phase_checks(oracle, cat, tr, bound)
             if err:
                 return False, f"{spec} vs {mouse.spec}: {err}"
             runs += 1
@@ -390,7 +393,7 @@ def check_thin_time_reproduction(quick: bool = False) -> tuple[bool, str]:
         horizon = min(n, max(4, D + 2))
         for seed in seeds:
             for mouse_spec in _mice_for(spec, seed):
-                cat = SphereWalkCat(g, K, oracle)
+                cat = SphereWalkCat(oracle, K)
                 mouse = parse_mouse_spec(mouse_spec)
                 tr = run_game(
                     g, cat, mouse, horizon,
@@ -467,19 +470,12 @@ _TINY_SPECS = ("path:n=3", "path:n=4", "cycle:n=4", "star4")
 _TINY_CATS = ("sweep", "stay", "rand:seed=11", "rand:seed=12", "sqrt", "fat:c=1.0")
 
 
-def _tiny_graph(spec: str) -> Graph:
-    if spec == "star4":
-        return Graph(4, [(0, 1), (0, 2), (0, 3)])
-    return corpus_graph(spec)[0]
-
-
 def check_minimax_consistency(quick: bool = False) -> tuple[bool, str]:
     horizon = 6 if quick else 8
     distances = (0, 1) if quick else (0, 1, 2)
     solved = 0
     for spec in _TINY_SPECS:
-        g = _tiny_graph(spec)
-        oracle = DistanceOracle(g)
+        g, oracle = _small_graph(spec)
         for d in distances:
             res = exhaustive_game_value(g, horizon, d)
             if res.winner == "mouse_wins":
@@ -543,8 +539,8 @@ def check_structural(quick: bool = False) -> tuple[bool, str]:
         n = g.n
         # scattered covers: coverage, pairwise separation, size bound
         for separation in (1, 3, ceil_sqrt(n), 2 * ceil_sqrt(n)):
-            cover = scattered_cover(g, separation, oracle)
-            cover.validate(g, oracle)
+            cover = scattered_cover(oracle, separation)
+            cover.validate(oracle)
             centers = cover.centers
             for i, u in enumerate(centers):
                 row = oracle.row(u)
@@ -564,7 +560,7 @@ def check_structural(quick: bool = False) -> tuple[bool, str]:
         if n >= 9:
             K = ceil_sqrt(9 * n)
             for v in range(n):
-                if thin_level(g, v, K, oracle) is None:
+                if thin_level(oracle, v, K) is None:
                     return False, f"{spec}: vertex {v} has no thin level below {K}"
             checks += 1
         # edge-list round trip
@@ -626,14 +622,19 @@ SUITES = {
 
 
 def verify_suite(name: str, quick: bool = False) -> list[CriterionResult]:
-    """Run a named acceptance bundle; failures are reported, not raised."""
+    """Run a named acceptance bundle; failures are reported, not raised.  A
+    criterion that raises fails with the exception (traceback to stderr)."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     results = []
     for number in SUITES[name]:
         title, fn = CRITERIA[number]
         start = time.perf_counter()
-        ok, detail = fn(quick=quick)
+        try:
+            ok, detail = fn(quick=quick)
+        except Exception as exc:
+            traceback.print_exc()
+            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         elapsed = time.perf_counter() - start
         results.append(CriterionResult(number, title, ok, detail, elapsed))
     return results

@@ -5,17 +5,24 @@ One test per criterion, each printing a PASS/FAIL line (visible with
 `catmouse verify` runs exactly the same code.  Two more tests make the bound
 of criteria 4 and 6 unmeetable and require every run to fail; a third gives
 criterion 5 a cat whose anchors certify nothing and requires it to fail.
-A last test breaks the solver's one belief step and requires criteria 1 and
-7, which both reach it, to fail.
+Another breaks the solver's one belief step and requires criteria 1 and 7,
+which both reach it, to fail.  The last ones make criteria raise and require
+`catmouse verify` to report each as a FAIL, run the rest and exit 1.
 
-Runtime note: the whole module takes on the order of a minute; the heavy
-graphs (n up to 2025) and their distance matrices are cached across
-criteria within the process.
+Runtime note: the whole module takes on the order of half a minute; the
+heavy graphs (n up to 2025), their oracles and the oracles' cached BFS rows
+are shared across criteria within the process.
 """
 
+import json
 import re
 
+import pytest
+
 from catmouse import experiment, solver, verify
+from catmouse.cli import main
+from catmouse.engine import GameError
+from catmouse.graphs import GraphError
 from catmouse.verify import CRITERIA
 
 
@@ -147,3 +154,54 @@ def test_criteria_1_and_7_fail_when_the_reference_step_is_wrong(monkeypatch):
     assert detail.startswith("belief mismatch at step"), detail
     ok, detail = CRITERIA[7][1](quick=True)
     assert ok is False, detail
+
+
+THIN_RAISE = GraphError("vertex 3 has no sphere of size < l/4 below K=5; raise K")
+
+
+def _raises(exc):
+    def check(quick=False):
+        raise exc
+
+    return check
+
+
+def _passes(quick=False):
+    return True, "stub"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_reports_a_raising_criterion_as_fail(monkeypatch, capsys, fmt):
+    monkeypatch.setattr(verify, "CRITERIA", {2: (CRITERIA[2][0], _raises(THIN_RAISE))})
+    assert main(["verify", "--suite", "fat", "--format", fmt]) == 1
+    out, err = capsys.readouterr()
+    assert "error:" not in err and err.rstrip().endswith(f"GraphError: {THIN_RAISE}")
+    detail = f"raised GraphError: {THIN_RAISE}"
+    if fmt == "text":
+        assert out == f"FAIL criterion 2 (ball-cover bound 4L+k): {detail}\n"
+    else:
+        [entry] = json.loads(out)
+        assert (entry["criterion"], entry["pass"], entry["detail"]) == (2, False, detail)
+        assert isinstance(entry["elapsed_s"], float) and entry["elapsed_s"] >= 0
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_runs_the_criteria_after_one_that_raises(monkeypatch, capsys, fmt):
+    stubs = {number: (name, _passes) for number, (name, _) in CRITERIA.items()}
+    stubs[1] = (CRITERIA[1][0], _raises(GameError("step 4: belief set emptied")))
+    stubs[5] = (CRITERIA[5][0], _raises(THIN_RAISE))
+    monkeypatch.setattr(verify, "CRITERIA", stubs)
+    assert main(["verify", "--suite", "all", "--format", fmt]) == 1
+    out = capsys.readouterr().out
+    if fmt == "text":
+        lines = out.splitlines()
+        assert [line.split(" (")[0] for line in lines] == [
+            f"{'FAIL' if n in (1, 5) else 'PASS'} criterion {n}" for n in range(1, 9)
+        ]
+        assert lines[0].endswith(": raised GameError: step 4: belief set emptied")
+    else:
+        payload = json.loads(out)
+        assert [(c["criterion"], c["pass"]) for c in payload] == [
+            (n, n not in (1, 5)) for n in range(1, 9)
+        ]
+        assert payload[4]["detail"] == f"raised GraphError: {THIN_RAISE}"

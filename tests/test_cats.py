@@ -43,7 +43,7 @@ class TestBallCoverCat:
     def test_p9_hand_simulation(self):
         g = gen_path(9)
         oracle = DistanceOracle(g)
-        cat = BallCoverCat(g, BallCover((2, 6), 2), oracle)
+        cat = BallCoverCat(oracle, BallCover((2, 6), 2))
         tr = run_game(g, cat, StationaryMouse(8), 4, oracle=oracle)
         assert tr.c[1:3] == [2, 6]
         assert tr.b[2] == 1  # d(6,8)=2 <= d(2,8)=6
@@ -52,8 +52,7 @@ class TestBallCoverCat:
         assert oracle.distance(6, 8) <= cat.guarantee == 10
 
     def test_single_ball_repeats_champion(self):
-        g = gen_path(5)
-        cat = BallCoverCat(g, BallCover((2,), 2))
+        cat = BallCoverCat(DistanceOracle(gen_path(5)), BallCover((2,), 2))
         assert drive_with_bits(cat, [0, 1, 0]) == [2] * 5
         assert cat.guarantee == 4 + 2
 
@@ -62,10 +61,10 @@ class TestBallCoverCat:
         # the recurrence w_{i+1} in {w_i, i+1} and the +2 growth per round.
         g = gen_cycle(30)
         oracle = DistanceOracle(g)
-        cover = scattered_cover(g, 5, oracle)
+        cover = scattered_cover(oracle, 5)
         L = cover.count
         for seed in range(6):
-            cat = BallCoverCat(g, cover, oracle)
+            cat = BallCoverCat(oracle, cover)
             tr = run_game(g, cat, RandomWalkMouse(seed), 2 * L, oracle=oracle)
             w = 1
             for i in range(1, L):
@@ -81,10 +80,10 @@ class TestBallCoverCat:
     def test_endgame_bound_with_beliefs(self):
         g = gen_path(60)
         oracle = DistanceOracle(g)
-        cover = scattered_cover(g, 10, oracle)
+        cover = scattered_cover(oracle, 10)
         bound = 4 * cover.count + cover.radius_k
         for seed in range(5):
-            cat = BallCoverCat(g, cover, oracle)
+            cat = BallCoverCat(oracle, cover)
             tr = run_game(
                 g, cat, RandomWalkMouse(seed), 2 * cover.count,
                 track_belief=True, oracle=oracle,
@@ -95,23 +94,22 @@ class TestBallCoverCat:
             assert oracle.row(champ)[tr.belief_members(step)].max() <= bound
 
     def test_empty_cover_rejected(self):
-        g = gen_path(3)
         with pytest.raises(GraphError):
-            BallCoverCat(g, BallCover((), 1))
+            BallCoverCat(DistanceOracle(gen_path(3)), BallCover((), 1))
 
 
 class TestSphereWalkCat:
     def test_cycle_needs_k_above_nine(self):
-        g = gen_cycle(50)
+        oracle = DistanceOracle(gen_cycle(50))
         with pytest.raises(GraphError, match="no sphere"):
-            SphereWalkCat(g, 9)
-        cat = SphereWalkCat(g, 10)
+            SphereWalkCat(oracle, 9)
+        cat = SphereWalkCat(oracle, 10)
         assert cat.K == 10
 
     def test_cycle_phase_descent(self):
         g = gen_cycle(50)
         oracle = DistanceOracle(g)
-        cat = SphereWalkCat(g, 10, oracle)
+        cat = SphereWalkCat(oracle, 10)
         D = oracle.diameter()
         horizon = 2 * cat.stop_pairs + 2 * cat.K + 8
         tr = run_game(g, cat, StationaryMouse(30), horizon, oracle=oracle)
@@ -125,7 +123,7 @@ class TestSphereWalkCat:
         g = gen_path(50)
         oracle = DistanceOracle(g)
         K = ceil_sqrt(9 * 50)  # 22
-        cat = SphereWalkCat(g, K, oracle)
+        cat = SphereWalkCat(oracle, K)
         horizon = 2 * cat.stop_pairs + 2 * K + 8
         tr = run_game(g, cat, StationaryMouse(49), horizon, oracle=oracle)
         log = cat.phase_log
@@ -144,32 +142,34 @@ class TestSphereWalkCat:
                 assert 2 * dist(nxt) <= 3 * K
 
     def test_tiny_diameter_holds_anchor(self):
-        g = gen_path(2)
-        cat = SphereWalkCat(g, 5)
+        oracle = DistanceOracle(gen_path(2))
+        cat = SphereWalkCat(oracle, 5)
         queries = drive_with_bits(cat, [1, 0, 1])
         assert queries == [0] * 5
         # trivial guarantee: everything is within (3/2)K of the anchor
-        assert DistanceOracle(g).eccentricity(0) <= (3 * 5 + 1) // 2
+        assert oracle.eccentricity(0) <= (3 * 5 + 1) // 2
 
     def test_auto_K(self):
         g = gen_cycle(50)
-        K = auto_thin_K(g)
-        SphereWalkCat(g, K)
+        oracle = DistanceOracle(g)
+        K = auto_thin_K(g, oracle)
+        SphereWalkCat(oracle, K)
         assert K >= ceil_sqrt(9 * 50)
 
 
 class TestSqrtCat:
     def test_star_single_ball(self):
         g = Graph(4, [(0, 1), (0, 2), (0, 3)])
-        cat = sqrt_cat(g)
+        oracle = DistanceOracle(g)
+        cat = sqrt_cat(oracle)
         assert cat.cover.count == 1
-        tr = run_game(g, cat, StationaryMouse(3), 3, track_belief=True)
-        assert tr.belief_radius[1] == mask_radius(DistanceOracle(g), np.ones(4, dtype=bool))[0] == 1
+        tr = run_game(g, cat, StationaryMouse(3), 3, track_belief=True, oracle=oracle)
+        assert tr.belief_radius[1] == mask_radius(oracle, np.ones(4, dtype=bool))[0] == 1
         assert tr.belief_radius[1] <= ceil_sqrt(32 * 4)
 
     def test_spider_cover_size_and_bounds(self):
         g = gen_spider(SpiderSpec(12, 0))
-        cat = sqrt_cat(g)
+        cat = sqrt_cat(DistanceOracle(g))
         assert cat.cover.count <= 9  # ceil((2/sqrt8) * sqrt(145))
         assert ceil_sqrt(32 * g.n) == 69
         assert ceil_sqrt(2 * g.n) == 18
@@ -180,7 +180,7 @@ class TestSqrtCat:
         deadline = ceil_sqrt(2 * 2000)  # 64
         bound = ceil_sqrt(32 * 2000)  # 253
         for seed in range(10):
-            cat = sqrt_cat(g, oracle)
+            cat = sqrt_cat(oracle)
             tr = run_game(
                 g, cat, RandomWalkMouse(seed), deadline,
                 track_belief=True, oracle=oracle,
@@ -191,7 +191,7 @@ class TestSqrtCat:
 
     def test_needs_two_vertices(self):
         with pytest.raises(GraphError):
-            sqrt_cat(Graph(1, []))
+            sqrt_cat(DistanceOracle(Graph(1, [])))
 
 
 class TestBaselines:
@@ -256,9 +256,9 @@ class TestBitHistoryDeterminism:
             lambda g, o: SweepCat(g),
             lambda g, o: StayCat(g),
             lambda g, o: SeededRandomCat(g, 9),
-            lambda g, o: sqrt_cat(g, o),
-            lambda g, o: BallCoverCat(g, scattered_cover(g, 4, o), o),
-            lambda g, o: SphereWalkCat(g, auto_thin_K(g, o), o),
+            lambda g, o: sqrt_cat(o),
+            lambda g, o: BallCoverCat(o, scattered_cover(o, 4)),
+            lambda g, o: SphereWalkCat(o, auto_thin_K(g, o)),
         ],
     )
     def test_replaying_bits_reproduces_queries(self, factory):
@@ -274,7 +274,7 @@ class TestBitHistoryDeterminism:
         the live cat's queries, across sphere-walk phase boundaries."""
         g = gen_cycle(24)
         oracle = DistanceOracle(g)
-        cat = SphereWalkCat(g, auto_thin_K(g, oracle), oracle)
+        cat = SphereWalkCat(oracle, auto_thin_K(g, oracle))
         cat.first_query()
         cat.next_query(None)
         cat.next_query(1)
@@ -314,17 +314,17 @@ class TestFactories:
         g = gen_cycle(30)
         oracle = DistanceOracle(g)
         fat = parse_cat_spec("fat:c=0.50", g, oracle)
-        assert fat.cover == scattered_cover(g, 3, oracle)  # ceil(0.50 * sqrt(30))
+        assert fat.cover == scattered_cover(oracle, 3)  # ceil(0.50 * sqrt(30))
         assert fat.spec == "fat:c=0.50"
         thin = parse_cat_spec("thin:K=10", g, oracle)
         assert isinstance(thin, SphereWalkCat) and thin.K == 10
         assert thin.spec == "thin:K=10"
-        assert isinstance(parse_cat_spec("sweep", g), SweepCat)
-        assert isinstance(parse_cat_spec("stay", g), StayCat)
-        rand = parse_cat_spec("rand:seed=4", g)
+        assert isinstance(parse_cat_spec("sweep", g, oracle), SweepCat)
+        assert isinstance(parse_cat_spec("stay", g, oracle), StayCat)
+        rand = parse_cat_spec("rand:seed=4", g, oracle)
         assert isinstance(rand, SeededRandomCat) and rand.seed == 4
         with pytest.raises(GraphError, match="psychic"):
-            parse_cat_spec("psychic", g)
+            parse_cat_spec("psychic", g, oracle)
 
 
 class TestParseCatSpec:
@@ -350,11 +350,12 @@ class TestParseCatSpec:
 
     def test_default_seed_flows_into_rand(self):
         g = gen_path(10)
-        cat = parse_cat_spec("rand", g, default_seed=42)
+        cat = parse_cat_spec("rand", g, DistanceOracle(g), default_seed=42)
         assert cat.seed == 42
 
     def test_bad_specs(self):
         g = gen_path(10)
+        oracle = DistanceOracle(g)
         for spec, field in (
             ("fat", "'c'"),
             ("fat:k=2", "'k'"),
@@ -374,4 +375,28 @@ class TestParseCatSpec:
             ("sweep:fast", "'fast'"),
         ):
             with pytest.raises(GraphError, match=field):
-                parse_cat_spec(spec, g)
+                parse_cat_spec(spec, g, oracle)
+
+
+def test_entry_points_reject_another_graphs_oracle():
+    # With the cycle's distances the path game below plays bits 0,0,0,0 and
+    # the thin cat gets D = 5 on a path of diameter 9.
+    g = gen_path(10)
+    own = run_game(g, SweepCat(g), StationaryMouse(9), 5, oracle=DistanceOracle(g))
+    assert own.b[2:] == [1, 1, 1, 1]
+    cycle_oracle = DistanceOracle(gen_cycle(10))
+    calls = (
+        lambda: run_game(
+            g, SweepCat(g), StationaryMouse(9), 5, track_belief=True, oracle=cycle_oracle
+        ),
+        lambda: parse_cat_spec("thin:K=auto", g, cycle_oracle),
+        lambda: auto_thin_K(g, cycle_oracle),
+    )
+    for call in calls:
+        with pytest.raises(
+            GraphError, match=r"oracle is over Graph\(n=10, m=10\), not the given Graph\(n=10, m=9\)"
+        ):
+            call()
+    # an equal graph that is another object is refused too
+    with pytest.raises(GraphError, match="oracle is over"):
+        parse_cat_spec("sweep", g, DistanceOracle(gen_path(10)))

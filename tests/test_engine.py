@@ -88,7 +88,7 @@ def members_of(arr) -> list[int]:
 
 
 def kernel_for(g) -> BeliefKernel:
-    return BeliefKernel(g, DistanceOracle(g))
+    return BeliefKernel(DistanceOracle(g))
 
 
 class TestBeliefMask:
@@ -256,12 +256,18 @@ def test_mask_radius_rejects_empty_and_out_of_range_sets():
     for ids in ([-1, 2], [3, 5]):
         with pytest.raises(GraphError, match="non-empty set of ids in 0..4"):
             oracle.set_radius(np.array(ids))
+    # out of range in the middle of an unsorted set: -1 must not wrap to 9
+    for g, ids in ((gen_cycle(10), [0, -1, 5]), (gen_path(10), [5, 12, 3])):
+        with pytest.raises(GraphError, match="non-empty set of ids in 0..9"):
+            DistanceOracle(g).set_radius(np.array(ids))
 
 
 class TestRunGame:
     def test_horizon_one_radius_is_whole_graph(self):
         g = gen_grid(3, 3)
-        tr = run_game(g, StayCat(g), StationaryMouse(4), 1, track_belief=True)
+        tr = run_game(
+            g, StayCat(g), StationaryMouse(4), 1, track_belief=True, oracle=DistanceOracle(g)
+        )
         assert tr.belief_radius[1] == mask_radius(DistanceOracle(g), np.ones(g.n, dtype=bool))[0]
 
     def test_tracks_radius_without_the_matrix_beyond_its_size(self):
@@ -279,18 +285,32 @@ class TestRunGame:
 
     def test_stationary_mouse_constant_queries_all_ones(self):
         g = gen_cycle(8)
-        tr = run_game(g, ScriptedCat([5] * 6), StationaryMouse(2), 6)
+        tr = run_game(g, ScriptedCat([5] * 6), StationaryMouse(2), 6, oracle=DistanceOracle(g))
         assert tr.b[2:] == [1, 1, 1, 1, 1]
 
     def test_p5_sweep_closes_in(self):
         g = gen_path(5)
-        tr = run_game(g, SweepCat(g), StationaryMouse(4), 5)
+        tr = run_game(g, SweepCat(g), StationaryMouse(4), 5, oracle=DistanceOracle(g))
         assert tr.b[2:] == [1, 1, 1, 1]
 
     def test_rule_violation_names_step(self):
         g = gen_path(5)
         with pytest.raises(RuleViolationError, match="step 3"):
-            run_game(g, StayCat(g), ScriptedMouse([0, 1, 4, 4]), 4)
+            run_game(g, StayCat(g), ScriptedMouse([0, 1, 4, 4]), 4, oracle=DistanceOracle(g))
+
+    @pytest.mark.parametrize("start", [5, -1])
+    def test_mouse_start_out_of_range_names_step_one(self, start):
+        g = gen_path(5)
+        with pytest.raises(RuleViolationError, match=f"step 1: mouse start {start} out of range"):
+            run_game(g, StayCat(g), ScriptedMouse([start]), 3, oracle=DistanceOracle(g))
+
+    @pytest.mark.parametrize(
+        "queries, step, bad", [([5], 1, 5), ([-1], 1, -1), ([0, 1, 7], 3, 7), ([2, -3], 2, -3)]
+    )
+    def test_cat_query_out_of_range_names_its_step(self, queries, step, bad):
+        g = gen_path(5)
+        with pytest.raises(RuleViolationError, match=f"step {step}: cat query {bad} out of range"):
+            run_game(g, ScriptedCat(queries), StationaryMouse(2), 4, oracle=DistanceOracle(g))
 
     def test_mouse_always_in_belief(self):
         g = gen_grid(3, 4)
@@ -301,6 +321,7 @@ class TestRunGame:
                 RandomWalkMouse(seed + 50),
                 10,
                 track_belief=True,
+                oracle=DistanceOracle(g),
             )
             for i in range(1, 11):
                 assert tr.belief_members(i)[tr.m[i]]
@@ -308,7 +329,8 @@ class TestRunGame:
     def test_belief_matches_trajectory_enumeration(self):
         g = gen_path(4)
         tr = run_game(
-            g, SeededRandomCat(g, 3), RandomWalkMouse(9), 4, track_belief=True
+            g, SeededRandomCat(g, 3), RandomWalkMouse(9), 4, track_belief=True,
+            oracle=DistanceOracle(g)
         )
         expected = beliefs_by_trajectory_enumeration(
             g, tr.c[1:], [tr.b[i] for i in range(2, 5)]
@@ -326,7 +348,7 @@ class TestRunGame:
             track_belief=True, oracle=oracle,
         )
         side = np.arange(g.n) % 2 == 0
-        kernel = BeliefKernel(g, oracle)
+        kernel = BeliefKernel(oracle)
         constrained = tr.belief_members(1) & side
         for i in range(2, 9):
             constrained = kernel.update_bool(constrained, tr.c[i - 1], tr.c[i], tr.b[i])
@@ -340,6 +362,7 @@ class TestRunGame:
                 g, SeededRandomCat(g, 5), RandomWalkMouse(6), 12,
                 track_belief=True, graph_spec="rt:n=40,seed=8",
                 meta={"seed": 5},
+                oracle=DistanceOracle(g),
             ).to_json()
             for _ in range(2)
         ]
@@ -368,45 +391,53 @@ class TestRunGame:
                     sim.next_query(1)
                 return self.pos
 
-        tr1 = run_game(g, SweepCat(g), PeekingMouse(3), 6)
-        tr2 = run_game(g, SweepCat(g), StationaryMouse(3), 6)
+        tr1 = run_game(g, SweepCat(g), PeekingMouse(3), 6, oracle=DistanceOracle(g))
+        tr2 = run_game(g, SweepCat(g), StationaryMouse(3), 6, oracle=DistanceOracle(g))
         assert tr1.c == tr2.c
 
     def test_bad_horizon(self):
         g = gen_path(3)
         with pytest.raises(GameError):
-            run_game(g, StayCat(g), StationaryMouse(0), 0)
+            run_game(g, StayCat(g), StationaryMouse(0), 0, oracle=DistanceOracle(g))
 
     def test_radius_needs_beliefs(self):
         g = gen_path(3)
         with pytest.raises(GameError, match="track_radius=True needs track_belief=True"):
-            run_game(g, StayCat(g), StationaryMouse(0), 2, track_radius=True)
+            run_game(
+                g, StayCat(g), StationaryMouse(0), 2, track_radius=True, oracle=DistanceOracle(g)
+            )
 
 
 class TestLocalizationReport:
     def test_already_localized_at_step_one(self):
         g = gen_path(5)
-        tr = run_game(g, StayCat(g), StationaryMouse(4), 3, track_belief=True)
+        tr = run_game(
+            g, StayCat(g), StationaryMouse(4), 3, track_belief=True, oracle=DistanceOracle(g)
+        )
         rad_v = mask_radius(DistanceOracle(g), np.ones(5, dtype=bool))[0]
         rep = localization_report(tr, rad_v)
         assert rep.first_success_step == 1
 
     def test_impossible_distance_is_absent(self):
         g = gen_path(5)
-        tr = run_game(g, StayCat(g), StationaryMouse(4), 3, track_belief=True)
+        tr = run_game(
+            g, StayCat(g), StationaryMouse(4), 3, track_belief=True, oracle=DistanceOracle(g)
+        )
         rep = localization_report(tr, -1)
         assert rep.first_success_step is None
         assert rep.min_radius >= 0
 
     def test_requires_tracked_beliefs(self):
         g = gen_path(5)
-        tr = run_game(g, StayCat(g), StationaryMouse(4), 3)
+        tr = run_game(g, StayCat(g), StationaryMouse(4), 3, oracle=DistanceOracle(g))
         with pytest.raises(GameError):
             localization_report(tr, 1)
 
     def test_min_radius_and_argmin(self):
         g = gen_path(9)
-        tr = run_game(g, SweepCat(g), StationaryMouse(8), 9, track_belief=True)
+        tr = run_game(
+            g, SweepCat(g), StationaryMouse(8), 9, track_belief=True, oracle=DistanceOracle(g)
+        )
         rep = localization_report(tr, -1)
         assert rep.min_radius == min(tr.belief_radius[1:])
         assert tr.belief_radius[rep.argmin_step] == rep.min_radius
@@ -415,7 +446,9 @@ class TestLocalizationReport:
 class TestTranscript:
     def test_one_based_null_padding(self):
         g = gen_path(4)
-        tr = run_game(g, StayCat(g), StationaryMouse(1), 3, track_belief=True)
+        tr = run_game(
+            g, StayCat(g), StationaryMouse(1), 3, track_belief=True, oracle=DistanceOracle(g)
+        )
         assert tr.c[0] is None and tr.m[0] is None
         assert tr.b[0] is None and tr.b[1] is None
         payload = tr.to_dict()
@@ -424,17 +457,21 @@ class TestTranscript:
 
     def test_json_is_stable(self):
         g = gen_path(4)
-        tr = run_game(g, StayCat(g), StationaryMouse(1), 3, track_belief=True)
+        tr = run_game(
+            g, StayCat(g), StationaryMouse(1), 3, track_belief=True, oracle=DistanceOracle(g)
+        )
         assert tr.to_json() == tr.to_json()
 
     def test_belief_members_steps(self):
         g = gen_path(4)
-        tr = run_game(g, StayCat(g), StationaryMouse(1), 3, track_belief=True)
+        tr = run_game(
+            g, StayCat(g), StationaryMouse(1), 3, track_belief=True, oracle=DistanceOracle(g)
+        )
         assert tr.belief_members(1).all() and len(tr.belief_members(1)) == 4
         for i in (0, -1, 4):
             with pytest.raises(GameError, match=f"step {i} out of range 1..3"):
                 tr.belief_members(i)
-        untracked = run_game(g, StayCat(g), StationaryMouse(1), 3)
+        untracked = run_game(g, StayCat(g), StationaryMouse(1), 3, oracle=DistanceOracle(g))
         with pytest.raises(GameError, match="did not track beliefs"):
             untracked.belief_members(1)
 
@@ -450,6 +487,7 @@ def test_soundness_property(seed, cat_seed, n):
     tr = run_game(
         g, SeededRandomCat(g, cat_seed), RandomWalkMouse(seed ^ 0xABC), 8,
         track_belief=True,
+        oracle=DistanceOracle(g),
     )
     for i in range(1, 9):
         assert tr.belief_members(i)[tr.m[i]]

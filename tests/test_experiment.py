@@ -101,6 +101,11 @@ class TestConfigParsing:
         with pytest.raises(GraphError, match="line 6: field 'seeds' given twice"):
             parse_config_text(text)
 
+    def test_line_without_colon_rejected(self):
+        text = "graph: path:n=5\ncat: sweep\nmouse: stationary\nhorizon 4\nseeds: 1\n"
+        with pytest.raises(GraphError, match="line 4: expected 'key: value', got 'horizon 4'"):
+            parse_config_text(text)
+
     def test_bad_bound_tag(self):
         text = (
             "graph: path:n=5\ncat: sweep\nmouse: stationary\n"
@@ -408,6 +413,24 @@ class TestCli:
         assert payload["horizon"] == 5
         assert payload["belief_radius"][1] == 4
 
+    @pytest.mark.parametrize("track", [False, True])
+    def test_simulate_csv(self, track, capsys):
+        argv = [
+            "simulate", "--graph", "path:n=9", "--cat", "sweep",
+            "--mouse", "stationary:seed=8", "--horizon", "5", "--format", "csv",
+        ]
+        assert main(argv + ["--track-belief"] * track) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "step,cat,mouse,bit,belief_radius"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [r[:3] for r in rows] == [[str(i), str(i - 1), "8"] for i in range(1, 6)]
+        assert [r[3] for r in rows] == ["", "1", "1", "1", "1"]
+        radii = [r[4] for r in rows]
+        if track:
+            assert radii[0] == "4" and all(radii)
+        else:
+            assert radii == [""] * 5
+
     def test_simulate_tracks_belief_beyond_the_matrix_size(self, capsys):
         # 5000 > DistanceOracle.full_matrix_threshold: the radius needs rows only.
         code = main(
@@ -429,6 +452,10 @@ class TestCli:
         assert main(["experiment", "--config", str(cfg)]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[0] == ",".join(CSV_COLUMNS)
+        out_dir = tmp_path / "report"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out_dir)]) == 0
+        assert capsys.readouterr().out == f"PASS 2/2 rows (bounds d=69 t=18) -> {out_dir}\n"
+        assert (out_dir / "report.csv").exists() and (out_dir / "report.json").exists()
 
     def test_experiment_fail_exit_one(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
@@ -437,16 +464,23 @@ class TestCli:
             "horizon: 4\nseeds: 1\nbound_d: 0\nbound_t: 4\n"
         )
         assert main(["experiment", "--config", str(cfg)]) == 1
+        capsys.readouterr()
+        out_dir = tmp_path / "report"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().out == f"FAIL 0/1 rows (bounds d=0 t=4) -> {out_dir}\n"
 
     def test_minimax(self, capsys):
         assert main(["minimax", "--graph", "path:n=3", "--horizon", "4", "--distance", "1"]) == 0
         assert capsys.readouterr().out.strip() in ("cat_wins", "mouse_wins")
 
     def test_cover_json(self, capsys):
-        assert main(["cover", "--graph", "path:n=100", "--separation", "10"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["centers"] == list(range(0, 100, 10))
-        assert payload["radius_k"] == 9
+        # without --separation: ceil(sqrt(8n)) = 29, as 28**2 < 800 <= 29**2
+        for flags, separation in ((["--separation", "10"], 10), ([], 29)):
+            assert main(["cover", "--graph", "path:n=100", *flags]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["separation"] == separation
+            assert payload["centers"] == list(range(0, 100, separation))
+            assert payload["radius_k"] == separation - 1
 
     def test_verify_structure_suite(self, capsys):
         assert main(["verify", "--suite", "structure", "--quick"]) == 0

@@ -164,44 +164,44 @@ class TestDiameter:
 class TestSphere:
     def test_level_zero(self):
         for g in CORPUS:
-            assert sphere(g, 2, 0) == (2,)
+            assert sphere(DistanceOracle(g), 2, 0) == (2,)
 
     def test_cycle_symmetry(self):
-        g = gen_cycle(10)
+        oracle = DistanceOracle(gen_cycle(10))
         for v in range(10):
-            assert len(sphere(g, v, 3)) == 2
+            assert len(sphere(oracle, v, 3)) == 2
 
     def test_beyond_eccentricity_empty(self):
-        assert sphere(gen_path(5), 0, 10) == ()
+        assert sphere(DistanceOracle(gen_path(5)), 0, 10) == ()
 
     def test_negative_level_rejected(self):
         with pytest.raises(GraphError):
-            sphere(gen_path(5), 0, -1)
+            sphere(DistanceOracle(gen_path(5)), 0, -1)
 
 
 class TestScatteredCover:
     def test_separation_one_takes_everything(self):
-        g = gen_path(7)
-        cover = scattered_cover(g, 1)
+        cover = scattered_cover(DistanceOracle(gen_path(7)), 1)
         assert cover.centers == tuple(range(7))
         assert cover.radius_k == 0
 
     def test_p100_spacing(self):
-        cover = scattered_cover(gen_path(100), 10)
+        cover = scattered_cover(DistanceOracle(gen_path(100)), 10)
         assert cover.centers == tuple(range(0, 100, 10))
         assert cover.radius_k == 9
 
     def test_above_diameter_single_center(self):
         for g in CORPUS:
-            cover = scattered_cover(g, DistanceOracle(g).diameter() + 1)
+            oracle = DistanceOracle(g)
+            cover = scattered_cover(oracle, oracle.diameter() + 1)
             assert cover.centers == (0,)
 
     @pytest.mark.parametrize("g", CORPUS)
     @pytest.mark.parametrize("separation", [1, 2, 5])
     def test_cover_invariants(self, g, separation):
         oracle = DistanceOracle(g)
-        cover = scattered_cover(g, separation, oracle)
-        cover.validate(g, oracle)
+        cover = scattered_cover(oracle, separation)
+        cover.validate(oracle)
         for i, u in enumerate(cover.centers):
             row = oracle.row(u)
             assert all(row[v] >= separation for v in cover.centers[i + 1 :])
@@ -215,49 +215,51 @@ class TestScatteredCover:
         for v in range(g.n):
             if all(oracle.distance(v, c) >= separation for c in chosen):
                 chosen.append(v)
-        assert scattered_cover(g, separation, oracle).centers == tuple(chosen)
+        assert scattered_cover(oracle, separation).centers == tuple(chosen)
 
     def test_bad_separation(self):
         with pytest.raises(GraphError):
-            scattered_cover(gen_path(5), 0)
+            scattered_cover(DistanceOracle(gen_path(5)), 0)
 
 
 class TestBallCover:
     def test_validate_rejects_uncovered(self):
-        g = gen_path(10)
+        oracle = DistanceOracle(gen_path(10))
         with pytest.raises(GraphError, match="distance"):
-            BallCover(centers=(0,), radius_k=2).validate(g)
+            BallCover(centers=(0,), radius_k=2).validate(oracle)
 
 
 class TestThinLevel:
     def test_path_endpoint(self):
-        assert thin_level(gen_path(50), 0, 50) == 5
+        assert thin_level(DistanceOracle(gen_path(50)), 0, 50) == 5
 
     def test_cycle(self):
-        g = gen_cycle(50)
+        oracle = DistanceOracle(gen_cycle(50))
         for v in (0, 13, 49):
-            assert thin_level(g, v, 50) == 9
+            assert thin_level(oracle, v, 50) == 9
 
     def test_empty_range(self):
-        assert thin_level(gen_path(5), 0, 1) is None
+        assert thin_level(DistanceOracle(gen_path(5)), 0, 1) is None
 
     @pytest.mark.parametrize("g", CORPUS)
     def test_matches_direct_sphere_scan(self, g):
+        oracle = DistanceOracle(g)
         K = g.n + 2
         for v in range(0, g.n, max(1, g.n // 6)):
             expected = None
             for level in range(1, K):
-                if 4 * len(sphere(g, v, level)) < level:
+                if 4 * len(sphere(oracle, v, level)) < level:
                     expected = level
                     break
-            assert thin_level(g, v, K) == expected
+            assert thin_level(oracle, v, K) == expected
 
     def test_existence_at_three_sqrt_n(self):
         for g in CORPUS:
             if g.n < 9:
                 continue
             K = ceil_sqrt(9 * g.n)
-            assert all(thin_level(g, v, K) is not None for v in range(g.n))
+            oracle = DistanceOracle(g)
+            assert all(thin_level(oracle, v, K) is not None for v in range(g.n))
 
 
 class TestSpider:
@@ -376,6 +378,21 @@ class TestEdgeListIO:
         with pytest.raises(ParseError, match="line 2"):
             parse_graph("2 1\nzero one")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("3 2\n0 1 2\n1 2\n", "line 2: expected two integers, got '0 1 2'"),
+            ("# only\n\n# comments\n", "line 1: missing header 'n m'"),
+            ("# empty\n0 0\n", "line 2: invalid header n=0 m=0"),
+            ("3 3\n0 1\n1 2\n", "line 1: header declares 3 edges, found 2"),
+            ("3 2\n0 1\n# next\n1 3\n", r"line 4: edge \(1,3\) out of range for n=3"),
+        ],
+        ids=["three-tokens", "comments-only", "header-0-0", "edge-count", "edge-range"],
+    )
+    def test_bad_text_names_the_line(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_graph(text)
+
     @pytest.mark.parametrize("g", CORPUS)
     def test_roundtrip(self, g):
         assert parse_graph(write_graph(g)) == g
@@ -400,7 +417,7 @@ def test_thin_level_exists_for_random_trees(n, seed):
     g = gen_random_tree(n, seed)
     K = ceil_sqrt(9 * n)
     oracle = DistanceOracle(g)
-    assert all(thin_level(g, v, K, oracle) is not None for v in range(n))
+    assert all(thin_level(oracle, v, K) is not None for v in range(n))
 
 
 @settings(max_examples=30, deadline=None)
@@ -412,7 +429,7 @@ def test_thin_levels_table_matches_thin_level(n, seed):
         table = oracle.thin_levels(K)
         assert not table.flags.writeable
         got = [None if lvl < 0 else int(lvl) for lvl in table]
-        assert got == [thin_level(g, v, K, oracle) for v in range(n)]
+        assert got == [thin_level(oracle, v, K) for v in range(n)]
     with pytest.raises(GraphError, match="K must be >= 1"):
         oracle.thin_levels(0)
 

@@ -136,7 +136,7 @@ class TestSpiderMouseInvariants:
         lambda g, o: SweepCat(g),
         lambda g, o: StayCat(g),
         lambda g, o: SeededRandomCat(g, 3),
-        lambda g, o: BallCoverCat(g, scattered_cover(g, 6, o), o),
+        lambda g, o: BallCoverCat(o, scattered_cover(o, 6)),
     ]
 
     @pytest.mark.parametrize("cat", CATS)
@@ -197,7 +197,7 @@ class TestSpiderMouseInvariants:
         from catmouse.cats import sqrt_cat
         from catmouse.engine import localization_report
 
-        spec, g, oracle, mouse, tr = spider_run(lambda g, o: sqrt_cat(g, o))
+        spec, g, oracle, mouse, tr = spider_run(lambda g, o: sqrt_cat(o))
         assert localization_report(tr, T // 12).first_success_step is None
 
 
@@ -211,12 +211,12 @@ class TestSpiderMouseValidation:
         mouse = SpiderMouse(12)
         g = gen_path(145)
         with pytest.raises(GraphError, match="not a spider"):
-            run_game(g, StayCat(g), mouse, 3)
+            run_game(g, StayCat(g), mouse, 3, oracle=DistanceOracle(g))
 
     def test_rejects_wrong_parameter(self):
         mouse = SpiderMouse(24)
         with pytest.raises(GraphError, match="not a spider"):
-            run_game(GS, StayCat(GS), mouse, 3)
+            run_game(GS, StayCat(GS), mouse, 3, oracle=DistanceOracle(GS))
 
 
 class TestDepthPlan:
@@ -257,19 +257,19 @@ class TestDepthPlan:
 class TestBaselineMice:
     def test_stationary_holds_seeded_vertex(self):
         g = gen_grid(3, 3)
-        tr = run_game(g, SweepCat(g), StationaryMouse(13), 5)
+        tr = run_game(g, SweepCat(g), StationaryMouse(13), 5, oracle=DistanceOracle(g))
         assert all(m == 13 % 9 for m in tr.m[1:])
 
     def test_random_walk_deterministic(self):
         g = gen_grid(4, 4)
-        a = run_game(g, SweepCat(g), RandomWalkMouse(3), 12)
-        b = run_game(g, SweepCat(g), RandomWalkMouse(3), 12)
+        a = run_game(g, SweepCat(g), RandomWalkMouse(3), 12, oracle=DistanceOracle(g))
+        b = run_game(g, SweepCat(g), RandomWalkMouse(3), 12, oracle=DistanceOracle(g))
         assert a.m == b.m
 
     def test_greedy_away_maximizes_distance(self):
         g = gen_path(5)
         # cat sits on 0; mouse starts at 2 and must step to 3
-        tr = run_game(g, StayCat(g), GreedyAwayMouse(2), 2)
+        tr = run_game(g, StayCat(g), GreedyAwayMouse(2), 2, oracle=DistanceOracle(g))
         assert tr.m[1:] == [2, 3]
 
     def test_greedy_tie_breaks_low(self):

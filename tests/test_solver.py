@@ -34,6 +34,7 @@ class TestBruteForceBeliefs:
             tr = run_game(
                 g, SeededRandomCat(g, seed), RandomWalkMouse(seed + 9), 7,
                 track_belief=True,
+                oracle=DistanceOracle(g),
             )
             out = brute_force_beliefs(g, tr.c[1:], [tr.b[i] for i in range(2, 8)])
             for i in range(1, 8):
@@ -59,10 +60,12 @@ class TestBruteForceBeliefs:
 class TestConsistentTrajectory:
     def test_reproduces_bits(self):
         g = gen_cycle(7)
-        tr = run_game(g, SeededRandomCat(g, 4), RandomWalkMouse(5), 6)
+        tr = run_game(g, SeededRandomCat(g, 4), RandomWalkMouse(5), 6, oracle=DistanceOracle(g))
         bits = [tr.b[i] for i in range(2, 7)]
         walk = consistent_trajectory(g, tr.c[1:], bits)
-        replay = run_game(g, SeededRandomCat(g, 4), ScriptedMouse(walk), 6)
+        replay = run_game(
+            g, SeededRandomCat(g, 4), ScriptedMouse(walk), 6, oracle=DistanceOracle(g)
+        )
         assert replay.b == tr.b
 
     def test_bit_count_mismatch(self):
@@ -100,6 +103,7 @@ class TestExhaustiveGameValue:
                 tr = run_game(
                     g, cat, ScriptedMouse(walk), max(len(queries), 1),
                     track_belief=True,
+                    oracle=DistanceOracle(g),
                 )
                 rep = localization_report(tr, d)
                 assert rep.first_success_step is not None
@@ -113,7 +117,9 @@ class TestExhaustiveGameValue:
         for cat in (SweepCat(g), StayCat(g), SeededRandomCat(g, 2)):
             queries, bits = adversarial_record(res, cat, 6)
             walk = consistent_trajectory(g, queries, bits)
-            replay = run_game(g, cat.clone(), ScriptedMouse(walk), 6, track_belief=True)
+            replay = run_game(
+                g, cat.clone(), ScriptedMouse(walk), 6, track_belief=True, oracle=DistanceOracle(g)
+            )
             assert localization_report(replay, 0).first_success_step is None
 
     def test_extract_cat_requires_cat_win(self):
