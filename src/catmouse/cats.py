@@ -1,10 +1,11 @@
 """Cat strategies: ball-cover elimination, sphere-walk descent, their sqrt-n
 composition, and deterministic baselines.
 
-Both core strategies query in pairs (odd step, even step) and make their
-decision from the bit that compares the pair's two queries; the cross-pair
-bit delivered before an even query carries no information for them and is
-ignored.
+Both core strategies are `EliminationCat`, the one pair machine: they query
+in pairs (odd step, even step) and decide from the bit that compares the
+pair's two queries; the cross-pair bit delivered before an even query
+carries no information for them and is ignored.  They differ only in where
+the challengers come from.
 """
 
 from __future__ import annotations
@@ -25,14 +26,57 @@ from .graphs import (
 )
 
 
-class BallCoverCat(CatStrategy):
+class EliminationCat(CatStrategy):
+    """The one pair machine behind both core cats: champion elimination.
+
+    Pair j (steps 2j-1, 2j) queries the champion, then the round's next
+    challenger; a bit of 1 before the next odd step promotes the
+    challenger.  Once a round's challengers are used up, `_next_round` gives
+    the next round's, and () holds the champion forever.  `_next_round` is
+    a method, never a callable stored on the instance: `clone` is a shallow
+    copy, so a stored bound method would drive the live cat from a clone.
+    """
+
+    def __init__(self, champion: int, challengers: tuple[int, ...]) -> None:
+        self._champ = champion
+        self._U = challengers
+        self._u_pos = 0
+        self._pairs = 0
+        self._emitted = 0
+        self._pending: int | None = None  # challenger of the open pair
+
+    def _next_round(self) -> tuple[int, ...]:
+        return ()
+
+    def first_query(self) -> int:
+        self._emitted = 1
+        return self._champ
+
+    def next_query(self, bit: int | None) -> int:
+        t = self._emitted + 1
+        self._emitted = t
+        if t % 2 == 0:
+            if self._u_pos < len(self._U):
+                self._pending = self._U[self._u_pos]
+                self._u_pos += 1
+                self._pairs += 1
+                return self._pending
+        elif self._pending is not None:
+            if bit == 1:
+                self._champ = self._pending
+            self._pending = None
+            if self._u_pos >= len(self._U):
+                self._U, self._u_pos = self._next_round(), 0
+        return self._champ
+
+
+class BallCoverCat(EliminationCat):
     """Pairwise elimination over the centers of a ball cover.
 
     Round i (steps 2i-1, 2i) queries the current champion, then center i+1.
-    A bit of 1 after the pair promotes the challenger.  After round L-1 the
-    final champion is queried forever, which keeps the belief radius bounded
-    on longer horizons.  For every legal mouse the champion ends within
-    4L + k of the mouse's position at step 2L-1.
+    After round L-1 the final champion is queried forever, which keeps the
+    belief radius bounded on longer horizons.  For every legal mouse the
+    champion ends within 4L + k of the mouse's position at step 2L-1.
     """
 
     def __init__(self, oracle: DistanceOracle, cover: BallCover) -> None:
@@ -44,51 +88,27 @@ class BallCoverCat(CatStrategy):
         self.L = cover.count
         self.k = cover.radius_k
         self.spec = f"fat:L={self.L},k={self.k}"
-        self._emitted = 0
-        self._champ = 1  # 1-based index into centers
+        super().__init__(self.centers[0], self.centers[1:])
 
     @property
     def champion_vertex(self) -> int:
-        return self.centers[self._champ - 1]
+        return self._champ
 
     @property
     def guarantee(self) -> int:
         """Distance bound the final champion satisfies: 4L + k."""
         return 4 * self.L + self.k
 
-    def _query_at(self, t: int) -> int:
-        if t % 2 == 0:
-            i = t // 2
-            if i <= self.L - 1:
-                return self.centers[i]  # challenger u_{i+1} of round i
-        return self.centers[self._champ - 1]
 
-    def first_query(self) -> int:
-        self._emitted = 1
-        return self._query_at(1)
-
-    def next_query(self, bit: int | None) -> int:
-        t = self._emitted + 1
-        # The bit arriving before an odd query decided round t//2.
-        if bit is not None and t % 2 == 1:
-            i = (t - 1) // 2
-            if i <= self.L - 1 and bit == 1:
-                self._champ = i + 1
-        self._emitted = t
-        return self._query_at(t)
-
-
-class SphereWalkCat(CatStrategy):
+class SphereWalkCat(EliminationCat):
     """Anchor descent through thin sphere levels.
 
-    Each phase fixes an anchor v, enumerates the sphere at its thin level in
-    ascending id order, and runs champion elimination against it; the phase's
-    winner becomes the next anchor.  Phases stop once ceil(D/2) pairs have
-    been played (or a sphere comes up empty, which certifies that everything
-    is within the thin level already) and the anchor is then held forever.
+    Each phase fixes an anchor v and eliminates over the sphere at its thin
+    level in ascending id order; the phase's winner becomes the next anchor.
+    Phases stop once ceil(D/2) pairs have been played (or a sphere comes up
+    empty, which certifies that everything is within the thin level
+    already) and the anchor is then held forever.
     """
-
-    RUN, HOLD = 0, 1
 
     def __init__(self, oracle: DistanceOracle, K: int) -> None:
         if K < 1:
@@ -106,18 +126,10 @@ class SphereWalkCat(CatStrategy):
         self.D = oracle.diameter()
         self.stop_pairs = (self.D + 1) // 2
         self.spec = f"thin:K={K}"
-
-        self._emitted = 0
-        self._pairs = 0
-        self._champ = 0
-        self._mode = self.RUN
-        self._U: tuple[int, ...] = ()
-        self._u_pos = 0
-        self._pending: int | None = None  # candidate of the open pair
         # Newest-first chain ((pairs, anchor), older): O(1) to extend and
         # never mutated, so a clone shares it safely.
         self._phase_log: tuple = ((0, 0), None)
-        self._open_phase(0)
+        super().__init__(0, sphere(oracle, 0, int(levels[0])))
 
     @property
     def phase_log(self) -> tuple[tuple[int, int], ...]:
@@ -128,46 +140,13 @@ class SphereWalkCat(CatStrategy):
             out.append(entry)
         return tuple(reversed(out))
 
-    def _open_phase(self, anchor: int) -> None:
-        self._champ = anchor
-        level = int(self.levels[anchor])
-        self._U = sphere(self.oracle, anchor, level)
-        self._u_pos = 0
-        if not self._U:
-            # Empty sphere at the thin level: every vertex is closer than the
-            # level, so holding the anchor already localizes.
-            self._mode = self.HOLD
-
-    def _close_phase_if_done(self) -> None:
-        if self._u_pos >= len(self._U):
-            self._phase_log = ((self._pairs, self._champ), self._phase_log)
-            if self._pairs >= self.stop_pairs:
-                self._mode = self.HOLD
-            else:
-                self._open_phase(self._champ)
-
-    def first_query(self) -> int:
-        self._emitted = 1
-        return self._champ
-
-    def next_query(self, bit: int | None) -> int:
-        t = self._emitted + 1
-        self._emitted = t
-        if self._mode == self.HOLD:
-            return self._champ
-        if t % 2 == 0:
-            # Second query of pair t//2: the next sphere candidate.
-            self._pending = self._U[self._u_pos]
-            self._u_pos += 1
-            self._pairs += 1
-            return self._pending
-        # Odd query: first apply the decisive bit of the pair just finished.
-        if self._pending is not None:
-            if bit == 1:
-                self._champ = self._pending
-            self._pending = None
-            self._close_phase_if_done()
-        return self._champ
+    def _next_round(self) -> tuple[int, ...]:
+        self._phase_log = ((self._pairs, self._champ), self._phase_log)
+        if self._pairs >= self.stop_pairs:
+            return ()
+        # An empty sphere at the thin level puts every vertex closer than the
+        # level, so holding the anchor already localizes.
+        return sphere(self.oracle, self._champ, int(self.levels[self._champ]))
 
 
 class SweepCat(CatStrategy):
@@ -240,16 +219,13 @@ class ScriptedCat(CatStrategy):
         self.spec = "scripted"
         self._emitted = 0
 
-    def _query_at(self, t: int) -> int:
-        return self.queries[min(t - 1, len(self.queries) - 1)]
-
     def first_query(self) -> int:
         self._emitted = 1
-        return self._query_at(1)
+        return self.queries[0]
 
     def next_query(self, bit: int | None) -> int:
         self._emitted += 1
-        return self._query_at(self._emitted)
+        return self.queries[min(self._emitted, len(self.queries)) - 1]
 
 
 def auto_thin_K(g: Graph, oracle: DistanceOracle) -> int:
@@ -316,7 +292,10 @@ def parse_cat_spec(
         return SeededRandomCat(g, fields["seed"])
     if kind == "fat":
         val = parse_spec_fields(spec, rest, {"c": (_fat_c, None)})["c"]
-        separation = max(1, math.ceil(float(val) * math.sqrt(g.n)))
+        scaled = float(val) * math.sqrt(g.n)
+        if not math.isfinite(scaled):
+            raise GraphError(f"spec {spec!r}: bad value {val!r} for field 'c'")
+        separation = max(1, math.ceil(scaled))
         cat = BallCoverCat(oracle, scattered_cover(oracle, separation))
         cat.spec = f"fat:c={val}"
         return cat

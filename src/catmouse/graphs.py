@@ -241,7 +241,7 @@ class DistanceOracle:
         n = self.graph.n
         if members.size == 0 or members.min() < 0 or members.max() >= n:
             raise GraphError(f"set radius needs a non-empty set of ids in 0..{n - 1}")
-        whole = members.size == n
+        whole = members.size == n and np.array_equal(members, np.arange(n))
         if whole and self._radius is not None:
             return self._radius
         row_a = self.row(int(members[0]))
@@ -356,10 +356,9 @@ def scattered_cover(oracle: DistanceOracle, separation: int) -> BallCover:
     """
     if separation < 1:
         raise GraphError(f"separation must be >= 1, got {separation}")
-    n = oracle.graph.n
-    nearest = np.full(n, np.iinfo(np.int32).max, dtype=np.int32)
-    centers = []
-    for v in range(n):
+    nearest = oracle.row(0).copy()
+    centers = [0]
+    for v in range(1, oracle.graph.n):
         if nearest[v] >= separation:
             centers.append(v)
             np.minimum(nearest, oracle.row(v), out=nearest)

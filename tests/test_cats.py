@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catmouse.cats import (
     BallCoverCat,
@@ -96,6 +98,38 @@ class TestBallCoverCat:
     def test_empty_cover_rejected(self):
         with pytest.raises(GraphError):
             BallCoverCat(DistanceOracle(gen_path(3)), BallCover((), 1))
+
+
+def closed_form_queries(centers, bits):
+    """Reference for the ball-cover cat, with a 1-based champion index w.
+
+    At an even step t with t/2 <= L-1 the query is u_{t/2+1}, otherwise it
+    is u_w; a 1 bit before an odd step t promotes u_{(t-1)/2+1}, and bits
+    after round L-1 are ignored.  `bits[j]` arrives before step j+3.
+    """
+    L, w, queries = len(centers), 1, []
+    for t in range(1, len(bits) + 3):
+        i = (t - 1) // 2
+        if t % 2 == 1 and t >= 3 and i <= L - 1 and bits[t - 3] == 1:
+            w = i + 1
+        queries.append(centers[t // 2] if t % 2 == 0 and t // 2 <= L - 1 else centers[w - 1])
+    return queries, centers[w - 1]
+
+
+CYCLE24 = DistanceOracle(gen_cycle(24))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    centers=st.lists(st.integers(0, 23), min_size=1, max_size=24, unique=True),
+    bits=st.lists(st.integers(0, 1), max_size=60),
+)
+def test_ball_cover_cat_matches_closed_form(centers, bits):
+    # radius_k = 24 exceeds the diameter, so every center tuple is a cover.
+    cat = BallCoverCat(CYCLE24, BallCover(tuple(centers), 24))
+    queries, champion = closed_form_queries(tuple(centers), bits)
+    assert drive_with_bits(cat, bits) == queries
+    assert cat.champion_vertex == champion
 
 
 class TestSphereWalkCat:
@@ -297,6 +331,10 @@ class TestBitHistoryDeterminism:
         assert later == [twin.next_query(b) for b in bits[2:]]
         assert getattr(live, "phase_log", None) == getattr(twin, "phase_log", None)
 
+    def test_core_cats_share_one_pair_machine(self):
+        for cls in (BallCoverCat, SphereWalkCat):
+            assert not {"first_query", "next_query"} & set(vars(cls))
+
     def test_no_strategy_overrides_clone(self):
         # perfbench counts clones by wrapping CatStrategy.clone alone.
         def subclasses(cls):
@@ -348,6 +386,10 @@ class TestParseCatSpec:
         assert parse_cat_spec("fat:c=0.5", g, oracle).spec == "fat:c=0.5"
         assert parse_cat_spec("fat:c=1.0", g, oracle).spec == "fat:c=1.0"
 
+    def test_fat_huge_c_is_one_center(self):
+        g = gen_path(10)
+        assert parse_cat_spec("fat:c=1e300", g, DistanceOracle(g)).centers == (0,)
+
     def test_default_seed_flows_into_rand(self):
         g = gen_path(10)
         cat = parse_cat_spec("rand", g, DistanceOracle(g), default_seed=42)
@@ -369,6 +411,7 @@ class TestParseCatSpec:
             ("fat:c=inf", "'c'"),
             ("fat:c=0", "'c'"),
             ("fat:c=-1.5", "'c'"),
+            ("fat:c=1e308", "'c'"),  # finite, but c * sqrt(n) is not
             ("rand:seed=1,seed=2", "'seed'"),
             ("sqrt:x=1", "'x'"),
             ("stay:K=1", "'K'"),

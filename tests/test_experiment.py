@@ -333,6 +333,7 @@ USAGE_ERRORS = [
         ("cat thin:K=abc", _simulate(cat="thin:K=abc"), "'K'"),
         ("cat fat:c=nan", _simulate(cat="fat:c=nan"), "'c'"),
         ("cat fat:c=inf", _simulate(cat="fat:c=inf"), "'c'"),
+        ("cat fat:c=1e308", _simulate(cat="fat:c=1e308"), "'c'"),
         ("cat rand:seed=1,seed=2", _simulate(cat="rand:seed=1,seed=2"), "'seed'"),
         ("mouse rw:seed=q", _simulate(mouse="rw:seed=q"), "'seed'"),
         ("mouse spider:t=x", _simulate(mouse="spider:t=x"), "'t'"),
@@ -362,6 +363,7 @@ USAGE_ERRORS = [
         ("config repetitions -2", _config(repetitions=-2), "'repetitions'"),
         ("config mouse rw:seed=z", _config(mouse="rw:seed=z"), "'seed'"),
         ("config cat fat:c=0", _config(cat="fat:c=0"), "'c'"),
+        ("config cat fat:c=1e308", _config(cat="fat:c=1e308"), "'c'"),
         (
             "config save_transcripts ture",
             ["experiment", _config()[1] + "save_transcripts: ture\n"],
@@ -474,8 +476,10 @@ class TestCli:
         assert capsys.readouterr().out.strip() in ("cat_wins", "mouse_wins")
 
     def test_cover_json(self, capsys):
-        # without --separation: ceil(sqrt(8n)) = 29, as 28**2 < 800 <= 29**2
-        for flags, separation in ((["--separation", "10"], 10), ([], 29)):
+        # without --separation: ceil(sqrt(8n)) = 29, as 28**2 < 800 <= 29**2;
+        # 2**31 is past any int32 "no center yet" fill and still keeps vertex 0
+        cases = ((["--separation", "10"], 10), ([], 29), (["--separation", str(2**31)], 2**31))
+        for flags, separation in cases:
             assert main(["cover", "--graph", "path:n=100", *flags]) == 0
             payload = json.loads(capsys.readouterr().out)
             assert payload["separation"] == separation

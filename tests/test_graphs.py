@@ -137,6 +137,14 @@ class TestSetRadius:
         g = gen_path(5)
         assert radius_of_set(g, range(5)) == (2, 2)
 
+    def test_duplicate_ids_do_not_poison_the_whole_set_cache(self):
+        # n ids with repeats are not V: their radius is that of {0, 1, 2},
+        # and the cached radius of V stays that of V.
+        oracle = DistanceOracle(gen_path(5))
+        assert oracle.set_radius(np.array([0, 1, 2, 0, 1])) == (1, 1)
+        assert oracle.set_radius(np.arange(5)) == (2, 2)
+        assert oracle.set_radius(np.array([0, 1, 2, 0, 1])) == (1, 1)
+
     @pytest.mark.parametrize("g", CORPUS)
     def test_matches_exhaustive_oracle(self, g):
         samples = [

@@ -5,7 +5,9 @@ methods on their classes, by name.  If a call stops going through one of
 those attributes, its layer silently drops out of `perfbench/run.py --trace
 1`.  This test plays two short games the way `perfbench/run.py` does,
 through the module attributes, and requires the spans of the layers those
-games must reach.
+games must reach.  The spider evader drives cat clones, so the cat's
+query methods must be traced from both callers: the engine (`cats.decide`)
+and the evader's lookahead (`cats.clone_query`).
 """
 
 from pathlib import Path
@@ -33,5 +35,8 @@ def test_tracer_spans_cover_the_game_layers(monkeypatch):
         tracer.uninstall()
     assert (engine.run_game, cats.parse_cat_spec, cats.scattered_cover) == originals
     names = {span[0] for span in tracer.spans}
-    expected = {"engine.run_game", "cats.build", "cats.decide", "graphs.cover", "engine.kernel"}
+    expected = {
+        "engine.run_game", "cats.build", "cats.decide", "cats.clone", "cats.clone_query",
+        "mice.decide", "graphs.cover", "engine.kernel", "engine.radius",
+    }
     assert expected <= names, sorted(expected - names)
