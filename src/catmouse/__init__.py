@@ -57,7 +57,6 @@ from .graphs import (
     parse_graph_spec,
     scattered_cover,
     sphere,
-    thin_level,
     write_graph,
 )
 from .mice import (

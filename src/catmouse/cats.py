@@ -13,6 +13,8 @@ from __future__ import annotations
 import hashlib
 import math
 
+import numpy as np
+
 from .engine import CatStrategy
 from .graphs import (
     BallCover,
@@ -116,8 +118,8 @@ class SphereWalkCat(EliminationCat):
         self.oracle = oracle
         self.K = K
         levels = oracle.thin_levels(K)
-        missing = [v for v in range(oracle.graph.n) if levels[v] < 0]
-        if missing:
+        missing = np.flatnonzero(levels < 0)
+        if missing.size:
             raise GraphError(
                 f"vertex {missing[0]} has no sphere of size < l/4 below K={K}; "
                 "raise K"

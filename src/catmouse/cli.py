@@ -13,7 +13,7 @@ import json
 import sys
 
 from .cats import parse_cat_spec
-from .engine import run_game
+from .engine import GameError, run_game
 from .experiment import parse_config_text, run_experiment
 from .graphs import (
     DistanceOracle,
@@ -199,6 +199,9 @@ def main(argv=None) -> int:
     except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except GameError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -106,10 +106,7 @@ def _at_least_one(text: str) -> int:
 
 
 def _seed_list(text: str) -> tuple[int, ...]:
-    seeds = tuple(int(s) for s in text.split(",") if s.strip())
-    if not seeds:
-        raise ValueError(text)
-    return seeds
+    return tuple(int(s) for s in text.split(","))
 
 
 def _bound(text: str) -> int | str:

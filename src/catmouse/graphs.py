@@ -273,9 +273,11 @@ class DistanceOracle:
         return best, center
 
     def thin_levels(self, K: int) -> np.ndarray:
-        """Per-vertex `thin_level` below K (-1 if none), read-only: one table
-        of levels without a cap, built once, masked by K.  Every vertex has a
-        level at most ecc(v) + 1, where the sphere is empty."""
+        """Per-vertex thin level below K (-1 if none), read-only.  The thin
+        level of v is the smallest l >= 1 whose sphere around v has fewer
+        than l/4 vertices, by the exact test 4*|sphere| < l.  One table of
+        levels without a cap is built once and masked by K; every vertex has
+        a level at most ecc(v) + 1, where the sphere is empty."""
         if K < 1:
             raise GraphError(f"K must be >= 1, got {K}")
         if self._thin_table is None:
@@ -302,22 +304,6 @@ def sphere(oracle: DistanceOracle, v: int, level: int) -> tuple[int, ...]:
         raise GraphError(f"sphere level must be >= 0, got {level}")
     row = oracle.row(v)
     return tuple(int(w) for w in np.flatnonzero(row == level))
-
-
-def thin_level(oracle: DistanceOracle, v: int, K: int) -> int | None:
-    """Smallest level l with 1 <= l < K whose sphere around v has size < l/4.
-
-    The comparison is the exact integer test 4*|sphere| < l.  Returns None
-    when no such level exists below K (the caller must raise K).
-    """
-    if K < 1:
-        raise GraphError(f"K must be >= 1, got {K}")
-    row = oracle.row(v)
-    counts = np.bincount(row, minlength=K)
-    for level in range(1, K):
-        if 4 * int(counts[level]) < level:
-            return level
-    return None
 
 
 @dataclass(frozen=True)

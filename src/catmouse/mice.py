@@ -7,10 +7,14 @@ re-anchor a shadow trajectory on yet another branch.  The shadow is a second
 position the observed bits cannot distinguish from the real one; keeping the
 two far apart keeps the belief radius large.
 
-All lookahead is done on clones of the cat, never the live instance.  The
+One forward model, `DepthPlan`, moves both trajectories: the live evader and
+every lookahead advance it, and the evader adds only branch identities.  All
+lookahead is done on clones of the cat, never the live instance.  The
 feedback bits the evader's planned moves generate depend only on its depth
 (distance from the center) as long as the cat stays off its branch, so the
-lookahead simulates depths alone and ignores branch identities.
+lookahead simulates depths alone and ignores branch identities.  The free
+branch each choice needs exists for every cat once t >= 24; at t = 12 a cat
+can block all of them, and the game then fails with a GameError.
 """
 
 from __future__ import annotations
@@ -18,83 +22,65 @@ from __future__ import annotations
 import copy
 import random
 
-from .engine import GameView, MouseStrategy
+from .engine import GameError, GameView, MouseStrategy
 from .graphs import GraphError, SpiderSpec, gen_spider, parse_spec_fields
 
 
 class DepthPlan:
-    """Branch-free forward model of the spider evader.
+    """Branch-free forward model of the spider evader's cycle.
 
-    Tracks the stage machine and the evader's depth only.  `advance` consumes
-    one cat query (as a distance to the center) and returns the feedback bit
-    the planned move generates, which is what a lookahead feeds to a cat
-    clone to learn its future queries.
+    Tracks the stage machine, the evader's depth `m_depth` and the shadow's
+    depth `w_depth`.  `advance` consumes one cat query (as a distance to the
+    center) and returns the feedback bit the planned move generates, which is
+    what a lookahead feeds to a cat clone to learn its future queries.  On
+    the step that closes the drift stage `event` is "s2_end", on the step
+    that closes the cycle it is "cycle_end", and otherwise None.
     """
 
     S2_DRIFT, S3_RUN_IN, S5_RUN_OUT = 2, 3, 5
 
-    __slots__ = (
-        "t",
-        "stage",
-        "clock",
-        "m_depth",
-        "step",
-        "prev_dc",
-        "d_snapshot",
-        "w_action",
-        "s2_just_ended",
-    )
+    __slots__ = ("t", "stage", "clock", "m_depth", "w_depth", "prev_dc", "event")
 
     def __init__(self, t: int) -> None:
         self.t = t
         self.stage = self.S2_DRIFT
         self.clock = t // 6
         self.m_depth = t // 4
-        self.step = 0
+        self.w_depth = t // 4
         self.prev_dc: int | None = None
-        self.d_snapshot: int | None = None
-        self.w_action: str | None = None
-        self.s2_just_ended = False
+        self.event: str | None = None
 
     def advance(self, dc: int) -> int | None:
         """Process one step given d(query, center); returns the generated bit
         (None on the placement step, which produces no bit)."""
-        self.step += 1
-        self.s2_just_ended = False
-        if self.step == 1:
+        self.event = None
+        if self.prev_dc is None:
             self.prev_dc = dc
-            self.w_action = None
             return None
         old_depth = self.m_depth
+        self.clock -= 1
         if self.stage == self.S2_DRIFT:
+            # Walk in while the cat does not move away; else hold, and the
+            # shadow steps out so the bit reads the same for both.
             if dc <= self.prev_dc:
                 self.m_depth -= 1
-                self.w_action = "hold"
             else:
-                self.w_action = "out"
-            self.clock -= 1
+                self.w_depth += 1
             if self.clock == 0:
-                self.d_snapshot = self.m_depth
-                self.stage = self.S3_RUN_IN
-                self.clock = self.d_snapshot
-                self.s2_just_ended = True
+                self.stage, self.clock, self.event = self.S3_RUN_IN, self.m_depth, "s2_end"
         elif self.stage == self.S3_RUN_IN:
             self.m_depth -= 1
-            self.w_action = "in"
-            self.clock -= 1
+            self.w_depth -= 1
             if self.clock == 0:
                 # The evader is at the center; the next step runs outward
                 # along a branch chosen then.
-                self.stage = self.S5_RUN_OUT
-                self.clock = self.t // 4
+                self.stage, self.clock = self.S5_RUN_OUT, self.t // 4
         else:
             self.m_depth += 1
-            self.w_action = "out"
-            self.clock -= 1
+            self.w_depth += 1
             if self.clock == 0:
-                self.w_action = "reanchor"
-                self.stage = self.S2_DRIFT
-                self.clock = self.t // 6
+                self.stage, self.clock, self.event = self.S2_DRIFT, self.t // 6, "cycle_end"
+                self.w_depth = self.t // 4
         bit = 1 if dc + self.m_depth <= self.prev_dc + old_depth else 0
         self.prev_dc = dc
         return bit
@@ -115,13 +101,18 @@ def _simulate_queries(spider, clone, plan, count, entry_bit, at_game_start):
     return out
 
 
-def _queried_branches(spider, queries) -> set[int]:
-    out = set()
-    for q in queries:
-        b = spider.branch_of(q)
-        if b is not None:
-            out.add(b)
-    return out
+def _free_branch(spider: SpiderSpec, queries, taken=(), *, step: int = 1) -> int:
+    """Lowest main branch (1..t) that no query touches and that is not in
+    `taken`; a GameError naming `step` when every one is blocked."""
+    queried = {spider.branch_of(q) for q in queries}
+    for b in range(1, spider.t + 1):
+        if b not in queried and b not in taken:
+            return b
+    raise GameError(
+        f"step {step}: spider evader has no free branch: all {spider.t} main "
+        f"branches are blocked (queried {sorted(queried.difference({None}))}, "
+        f"taken {sorted(taken)})"
+    )
 
 
 class SpiderMouse(MouseStrategy):
@@ -130,7 +121,10 @@ class SpiderMouse(MouseStrategy):
     Requires 12 | t so all stage lengths are integers, and a game graph equal
     to the fixed-layout spider (an optional padding branch is tolerated and
     never entered).  Maintains a shadow trajectory on a second branch whose
-    membership in the belief set witnesses a radius above t/12.
+    membership in the belief set witnesses a radius above t/12.  Each branch
+    choice blocks at most 11t/12 + 1 branches, so a free one exists for every
+    cat once t >= 24; at t = 12 a cat can block all twelve, and the game then
+    fails with a GameError naming the step.
     """
 
     def __init__(self, t: int) -> None:
@@ -142,7 +136,6 @@ class SpiderMouse(MouseStrategy):
         self.plan: DepthPlan | None = None
         self.m_branch = 0
         self.w_branch = 0
-        self.w_depth = 0
         self.shadow_trace: list[int | None] = [None]
         self.stage_events: list[tuple[int, str]] = []
 
@@ -153,89 +146,55 @@ class SpiderMouse(MouseStrategy):
             raise GraphError(f"game graph is not a spider with parameter t={t}")
         self.spider = SpiderSpec(t, extra)
 
-    def _lowest_free(self, blocked) -> int:
-        for b in range(1, self.t + 1):
-            if b not in blocked:
-                return b
-        raise AssertionError(
-            f"no safe branch: {len(blocked)} of {self.t} branches blocked"
-        )
-
-    def _m_vertex(self) -> int:
-        depth = self.plan.m_depth
-        return self.spider.vertex_at(self.m_branch, depth) if depth else 0
-
     def first_position(self, view: GameView) -> int:
         self._require_spider(view.graph)
         t = self.t
         self.plan = DepthPlan(t)
-        window = 2 * t // 3
         queries = _simulate_queries(
-            self.spider, view.clone_cat(), DepthPlan(t), window, None, True
+            self.spider, view.clone_cat(), DepthPlan(t), 2 * t // 3, None, True
         )
-        blocked = _queried_branches(self.spider, queries)
-        self.m_branch = self._lowest_free(blocked)
-        self.w_branch = self._lowest_free(blocked | {self.m_branch})
-        self.w_depth = t // 4
+        self.m_branch = _free_branch(self.spider, queries)
+        self.w_branch = _free_branch(self.spider, queries, (self.m_branch,))
         # Consume the placement step with the predicted first query.
         self.plan.advance(self.spider.depth_of(queries[0]))
         self.stage_events.append((1, "cycle_start"))
-        self.shadow_trace.append(self.spider.vertex_at(self.w_branch, self.w_depth))
-        return self._m_vertex()
+        self.shadow_trace.append(self.spider.vertex_at(self.w_branch, self.plan.w_depth))
+        return self.spider.vertex_at(self.m_branch, self.plan.m_depth)
 
     def next_move(self, view: GameView) -> int:
         i = view.step
         t = self.t
+        plan = self.plan
         entry_bit = view.b[i - 1] if i >= 3 else None
         clone = view.clone_cat()
         predicted = clone.next_query(entry_bit)
-        dc = self.spider.depth_of(predicted)
 
-        if self.plan.stage == DepthPlan.S5_RUN_OUT and self.plan.m_depth == 0:
+        if plan.stage == DepthPlan.S5_RUN_OUT and plan.m_depth == 0:
             # Leaving the center: pick a branch the cat will not query for
             # the next 11t/12 steps, this one included, and distinct from
             # the shadow's branch.
             queries = _simulate_queries(
-                self.spider,
-                view.clone_cat(),
-                copy.copy(self.plan),
-                11 * t // 12,
-                entry_bit,
-                False,
+                self.spider, view.clone_cat(), copy.copy(plan), 11 * t // 12, entry_bit, False
             )
-            blocked = _queried_branches(self.spider, queries) | {self.w_branch}
-            self.m_branch = self._lowest_free(blocked)
+            self.m_branch = _free_branch(self.spider, queries, (self.w_branch,), step=i)
             self.stage_events.append((i, "branch_switch"))
 
-        bit = self.plan.advance(dc)
-        action = self.plan.w_action
-        if action == "out":
-            self.w_depth += 1
-        elif action == "in":
-            self.w_depth -= 1
-        elif action == "reanchor":
+        bit = plan.advance(self.spider.depth_of(predicted))
+        if plan.event == "cycle_end":
             # Fresh shadow branch: unqueried over the past t/4 steps (the
             # outward run, this step's predicted query included) and the
             # next 2t/3, and distinct from the evader's branch.
-            lookback = {predicted}
-            for j in range(max(1, i - t // 4 + 1), i):
-                lookback.add(view.c[j])
+            lookback = [view.c[j] for j in range(max(1, i - t // 4 + 1), i)]
             future = _simulate_queries(
-                self.spider, clone, copy.copy(self.plan), 2 * t // 3, bit, False
+                self.spider, clone, copy.copy(plan), 2 * t // 3, bit, False
             )
-            blocked = (
-                _queried_branches(self.spider, lookback)
-                | _queried_branches(self.spider, future)
-                | {self.m_branch}
+            self.w_branch = _free_branch(
+                self.spider, lookback + [predicted] + future, (self.m_branch,), step=i
             )
-            self.w_branch = self._lowest_free(blocked)
-            self.w_depth = t // 4
-            self.stage_events.append((i, "cycle_end"))
-        if self.plan.s2_just_ended:
-            self.stage_events.append((i, "s2_end"))
-
-        self.shadow_trace.append(self.spider.vertex_at(self.w_branch, self.w_depth))
-        return self._m_vertex()
+        if plan.event:
+            self.stage_events.append((i, plan.event))
+        self.shadow_trace.append(self.spider.vertex_at(self.w_branch, plan.w_depth))
+        return self.spider.vertex_at(self.m_branch, plan.m_depth)
 
 
 class StationaryMouse(MouseStrategy):

@@ -17,6 +17,8 @@ import traceback
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .cats import BallCoverCat, SphereWalkCat, parse_cat_spec
 from .engine import localization_report, run_game
 from .experiment import ExperimentConfig, corpus_graph, run_experiment
@@ -30,7 +32,6 @@ from .graphs import (
     parse_graph,
     scattered_cover,
     SpiderSpec,
-    thin_level,
     write_graph,
 )
 from .mice import ScriptedMouse, parse_mouse_spec
@@ -559,9 +560,9 @@ def check_structural(quick: bool = False) -> tuple[bool, str]:
         # thin level existence at K = ceil(3 sqrt n) for n >= 9
         if n >= 9:
             K = ceil_sqrt(9 * n)
-            for v in range(n):
-                if thin_level(oracle, v, K) is None:
-                    return False, f"{spec}: vertex {v} has no thin level below {K}"
+            missing = np.flatnonzero(oracle.thin_levels(K) < 0)
+            if missing.size:
+                return False, f"{spec}: vertex {missing[0]} has no thin level below {K}"
             checks += 1
         # edge-list round trip
         if parse_graph(write_graph(g)) != g:

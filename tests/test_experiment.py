@@ -1,6 +1,7 @@
 """Experiment harness: config parsing, bound resolution, reports, CLI."""
 
 import csv
+import dataclasses
 import io
 import json
 
@@ -39,6 +40,13 @@ SPIDER_LOWER = ExperimentConfig(
     bound_d="tOver12",
     bound_t=None,
     bound_kind="lower",
+)
+
+
+BLOCKED_EVADER = dataclasses.replace(SPIDER_LOWER, cat="rand:seed=25", seeds=(0,))
+BLOCKED_NOTE = (
+    "step 196: spider evader has no free branch: all 12 main branches are "
+    "blocked (queried [1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12], taken [2])"
 )
 
 
@@ -139,6 +147,16 @@ FIELD_FAULTS = [
         "spider:t=x", "bad value 'x' for field 't'",
         _FIELDS_OK + "seeds: 1,x\n", "line 5: bad value '1,x' for field 'seeds'",
         id="bad value",
+    ),
+    pytest.param(
+        "path:n=10,", "field '' is not key=value",
+        _FIELDS_OK + "seeds: 1,2,\n", "line 5: bad value '1,2,' for field 'seeds'",
+        id="trailing comma",
+    ),
+    pytest.param(
+        "spider:t=12,,extra=1", "field '' is not key=value",
+        _FIELDS_OK + "seeds: 1,,2\n", "line 5: bad value '1,,2' for field 'seeds'",
+        id="empty item",
     ),
     pytest.param(
         "spider:extra=2", "missing field 't'",
@@ -271,6 +289,16 @@ class TestRunExperiment:
         assert "not a spider" in rows[1][-1]
         assert [row[header.index("min_radius")] for row in rows] == ["", ""]
 
+    def test_blocked_evader_fails_row_not_process(self):
+        # At t = 12 this cat blocks every main branch at the re-anchor of
+        # step 196; the row fails with the evader's message.
+        report = run_experiment(BLOCKED_EVADER)
+        assert not report.all_pass and len(report.rows) == 1
+        assert report.rows[0].note == BLOCKED_NOTE
+        header, row = csv.reader(io.StringIO(report.to_csv_text()))
+        assert row[header.index("error")] == BLOCKED_NOTE
+        assert row[header.index("pass")] == "0"
+
     def test_csv_is_deterministic_and_versioned(self):
         a = run_experiment(SPIDER_UPPER).to_csv_text()
         b = run_experiment(SPIDER_UPPER).to_csv_text()
@@ -364,6 +392,16 @@ USAGE_ERRORS = [
         ("config mouse rw:seed=z", _config(mouse="rw:seed=z"), "'seed'"),
         ("config cat fat:c=0", _config(cat="fat:c=0"), "'c'"),
         ("config cat fat:c=1e308", _config(cat="fat:c=1e308"), "'c'"),
+        (
+            "config seeds 1,,2",
+            ["experiment", _config()[1].replace("seeds: 1", "seeds: 1,,2")],
+            "line 5: bad value '1,,2' for field 'seeds'",
+        ),
+        (
+            "config seeds 1,2,",
+            ["experiment", _config()[1].replace("seeds: 1", "seeds: 1,2,")],
+            "line 5: bad value '1,2,' for field 'seeds'",
+        ),
         (
             "config save_transcripts ture",
             ["experiment", _config()[1] + "save_transcripts: ture\n"],
@@ -497,6 +535,25 @@ class TestCli:
         assert [c["criterion"] for c in payload] == [8]
         for c in payload:
             assert isinstance(c["elapsed_s"], float) and c["elapsed_s"] >= 0
+
+    def test_blocked_evader_exits_one_without_traceback(self, tmp_path, capsys):
+        cfg = tmp_path / "blocked.cfg"
+        cfg.write_text(
+            "graph: spider:t=12,extra=0\ncat: rand:seed=25\nmouse: spider:t=12\n"
+            "horizon: 300\nseeds: 0\nbound_d: tOver12\nbound_kind: lower\n"
+        )
+        assert main(["experiment", "--config", str(cfg)]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        header, row = csv.reader(io.StringIO(out))
+        assert row[header.index("error")] == BLOCKED_NOTE
+        argv = [
+            "simulate", "--graph", "spider:t=12,extra=0", "--cat", "rand:seed=25",
+            "--mouse", "spider:t=12", "--horizon", "300",
+        ]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {BLOCKED_NOTE}\n"
 
     def test_usage_error_exit_two(self):
         with pytest.raises(SystemExit) as err:

@@ -26,9 +26,19 @@ from catmouse.graphs import (
     parse_graph_spec,
     scattered_cover,
     sphere,
-    thin_level,
     write_graph,
 )
+
+
+def thin_level(oracle: DistanceOracle, v: int, K: int) -> int | None:
+    """Reference for `DistanceOracle.thin_levels`: the smallest level l with
+    1 <= l < K whose sphere around v has size < l/4 (the exact integer test
+    4*|sphere| < l), or None when no such level exists below K."""
+    counts = np.bincount(oracle.row(v), minlength=K)
+    for level in range(1, K):
+        if 4 * int(counts[level]) < level:
+            return level
+    return None
 
 
 def floyd_warshall(g: Graph) -> np.ndarray:
@@ -239,15 +249,15 @@ class TestBallCover:
 
 class TestThinLevel:
     def test_path_endpoint(self):
-        assert thin_level(DistanceOracle(gen_path(50)), 0, 50) == 5
+        assert DistanceOracle(gen_path(50)).thin_levels(50)[0] == 5
 
     def test_cycle(self):
         oracle = DistanceOracle(gen_cycle(50))
         for v in (0, 13, 49):
-            assert thin_level(oracle, v, 50) == 9
+            assert oracle.thin_levels(50)[v] == 9
 
     def test_empty_range(self):
-        assert thin_level(DistanceOracle(gen_path(5)), 0, 1) is None
+        assert DistanceOracle(gen_path(5)).thin_levels(1)[0] == -1
 
     @pytest.mark.parametrize("g", CORPUS)
     def test_matches_direct_sphere_scan(self, g):
@@ -260,14 +270,14 @@ class TestThinLevel:
                     expected = level
                     break
             assert thin_level(oracle, v, K) == expected
+            assert oracle.thin_levels(K)[v] == (-1 if expected is None else expected)
 
     def test_existence_at_three_sqrt_n(self):
         for g in CORPUS:
             if g.n < 9:
                 continue
             K = ceil_sqrt(9 * g.n)
-            oracle = DistanceOracle(g)
-            assert all(thin_level(oracle, v, K) is not None for v in range(g.n))
+            assert (DistanceOracle(g).thin_levels(K) >= 0).all()
 
 
 class TestSpider:
@@ -424,8 +434,7 @@ def test_metric_axioms_on_random_trees(n, seed):
 def test_thin_level_exists_for_random_trees(n, seed):
     g = gen_random_tree(n, seed)
     K = ceil_sqrt(9 * n)
-    oracle = DistanceOracle(g)
-    assert all(thin_level(oracle, v, K) is not None for v in range(n))
+    assert (DistanceOracle(g).thin_levels(K) >= 0).all()
 
 
 @settings(max_examples=30, deadline=None)

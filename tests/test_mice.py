@@ -3,6 +3,8 @@
 import copy
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catmouse.cats import (
     BallCoverCat,
@@ -11,7 +13,7 @@ from catmouse.cats import (
     StayCat,
     SweepCat,
 )
-from catmouse.engine import run_game
+from catmouse.engine import GameError, run_game
 from catmouse.graphs import (
     DistanceOracle,
     GraphError,
@@ -28,7 +30,7 @@ from catmouse.mice import (
     ScriptedMouse,
     SpiderMouse,
     StationaryMouse,
-    _queried_branches,
+    _free_branch,
     _simulate_queries,
     parse_mouse_spec,
 )
@@ -48,18 +50,17 @@ def spider_run(cat, horizon=120, t=T, extra=0, track=True):
     return spec, g, oracle, mouse, tr
 
 
-def safe_branch(cat, window, excluded=frozenset()):
+def safe_branch(cat, window, excluded=()):
     """The evader's branch choice at game start: simulate a clone of `cat`
     over `window` queries, then take the lowest branch neither queried nor
     excluded."""
     queries = _simulate_queries(SPIDER, cat.clone(), DepthPlan(T), window, None, True)
-    blocked = _queried_branches(SPIDER, queries) | set(excluded)
-    return SpiderMouse(T)._lowest_free(blocked)
+    return _free_branch(SPIDER, queries, tuple(excluded))
 
 
 class TestFindSafeBranch:
     """The evader's lookahead (`_simulate_queries`) plus its lowest-free-branch
-    choice (`SpiderMouse._lowest_free`)."""
+    choice (`_free_branch`)."""
 
     def test_sweep_at_time_zero(self):
         # Sweep touches the center then branch 1's low ids during an 8-step
@@ -86,8 +87,22 @@ class TestFindSafeBranch:
         # The choice ranges over main branches 1..t only, so it fails exactly
         # when every one of them is blocked.
         assert safe_branch(StayCat(GS), window=4, excluded=range(1, T)) == T
-        with pytest.raises(AssertionError, match="no safe branch"):
+        with pytest.raises(GameError, match="step 1: .*no free branch"):
             safe_branch(StayCat(GS), window=4, excluded=range(1, T + 1))
+
+    def test_center_and_padding_queries_block_nothing(self):
+        spider = SpiderSpec(T, 7)
+        queries = [0, spider.t * spider.t + 3, spider.vertex_at(1, 5)]
+        assert _free_branch(spider, queries) == 2
+        assert _free_branch(spider, queries, (2, 3)) == 4
+
+    def test_cat_cycling_over_all_branches_fails_the_game(self):
+        # At t = 12 a branch choice may block 11t/12 + 1 = t branches: a cat
+        # that visits every main branch in turn leaves no free one for the
+        # evader's branch switch.
+        cat = ScriptedCat([SPIDER.vertex_at(b, 1) for b in range(1, T + 1)] * 30)
+        with pytest.raises(GameError, match="no free branch"):
+            run_game(GS, cat, SpiderMouse(T), 300, oracle=ORACLE)
 
 
 class TestSpiderMouseStageArithmetic:
@@ -96,7 +111,8 @@ class TestSpiderMouseStageArithmetic:
         # evader walk in every drift step: depth t/4 - t/6 = t/12 when the
         # dash starts, so the center is reached at step 1 + t/6 + t/12.
         spec, g, oracle, mouse, tr = spider_run(lambda g, o: StayCat(g))
-        assert mouse.plan.d_snapshot == T // 12
+        s2_end = [step for step, label in mouse.stage_events if label == "s2_end"][0]
+        assert spec.depth_of(tr.m[s2_end]) == T // 12
         arrival = 1 + T // 6 + T // 12
         assert tr.m[arrival] == 0
         assert all(tr.m[i] != 0 for i in range(1, arrival))
@@ -219,6 +235,74 @@ class TestSpiderMouseValidation:
             run_game(GS, StayCat(GS), mouse, 3, oracle=DistanceOracle(GS))
 
 
+class ReferencePlan:
+    """The evader's earlier forward model, kept as the reference for
+    `DepthPlan`: the plan names the shadow's move in `w_action` and the
+    mouse applies it to its own copy of the shadow's depth."""
+
+    def __init__(self, t):
+        self.t = t
+        self.stage = 2
+        self.clock = t // 6
+        self.m_depth = t // 4
+        self.w_depth = t // 4
+        self.step = 0
+        self.prev_dc = None
+        self.w_action = None
+        self.s2_just_ended = False
+
+    def advance(self, dc):
+        self.step += 1
+        self.s2_just_ended = False
+        if self.step == 1:
+            self.prev_dc = dc
+            self.w_action = None
+            return None
+        old_depth = self.m_depth
+        if self.stage == 2:
+            if dc <= self.prev_dc:
+                self.m_depth -= 1
+                self.w_action = "hold"
+            else:
+                self.w_action = "out"
+            self.clock -= 1
+            if self.clock == 0:
+                self.stage = 3
+                self.clock = self.m_depth
+                self.s2_just_ended = True
+        elif self.stage == 3:
+            self.m_depth -= 1
+            self.w_action = "in"
+            self.clock -= 1
+            if self.clock == 0:
+                self.stage = 5
+                self.clock = self.t // 4
+        else:
+            self.m_depth += 1
+            self.w_action = "out"
+            self.clock -= 1
+            if self.clock == 0:
+                self.w_action = "reanchor"
+                self.stage = 2
+                self.clock = self.t // 6
+        bit = 1 if dc + self.m_depth <= self.prev_dc + old_depth else 0
+        self.prev_dc = dc
+        # The mouse's rules for applying the action to the shadow.
+        if self.w_action == "out":
+            self.w_depth += 1
+        elif self.w_action == "in":
+            self.w_depth -= 1
+        elif self.w_action == "reanchor":
+            self.w_depth = self.t // 4
+        return bit
+
+    @property
+    def event(self):
+        if self.w_action == "reanchor":
+            return "cycle_end"
+        return "s2_end" if self.s2_just_ended else None
+
+
 class TestDepthPlan:
     def test_placement_step_produces_no_bit(self):
         plan = DepthPlan(12)
@@ -235,7 +319,7 @@ class TestDepthPlan:
         plan = DepthPlan(12)
         plan.advance(0)
         bit = plan.advance(4)  # cat moved out: hold, bit 0
-        assert plan.m_depth == 3 and bit == 0 and plan.w_action == "out"
+        assert plan.m_depth == 3 and bit == 0 and plan.w_depth == 4
 
     def test_shallow_copy_is_independent(self):
         plan = DepthPlan(12)
@@ -252,6 +336,18 @@ class TestDepthPlan:
             dup.advance(dc)
         assert slots(dup) != before
         assert slots(plan) == before
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        t=st.sampled_from((12, 24, 36)),
+        dcs=st.lists(st.integers(0, 36), min_size=1, max_size=200),
+    )
+    def test_matches_reference_plan(self, t, dcs):
+        plan, ref = DepthPlan(t), ReferencePlan(t)
+        for dc in dcs:
+            assert plan.advance(dc) == ref.advance(dc)
+            assert (plan.m_depth, plan.w_depth) == (ref.m_depth, ref.w_depth)
+            assert plan.event == ref.event
 
 
 class TestBaselineMice:
