@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 
 import numpy as np
 
@@ -22,7 +23,8 @@ from .graphs import (
     Graph,
     GraphError,
     ceil_sqrt,
-    parse_spec_fields,
+    read_int,
+    read_spec,
     scattered_cover,
     sphere,
 )
@@ -256,18 +258,15 @@ def sqrt_cat(oracle: DistanceOracle) -> BallCoverCat:
     return cat
 
 
+_DECIMAL = re.compile(r"(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?", re.ASCII)
+
+
 def _fat_c(val: str) -> str:
-    """The fat cat's c, checked finite and positive but kept as written
-    (stripped), because the cat's spec string repeats it verbatim."""
-    c = float(val)
-    if not (math.isfinite(c) and c > 0):
+    """The fat cat's c: plain ASCII decimal text, finite and positive, kept
+    as written because the cat's spec string repeats it verbatim."""
+    if not (_DECIMAL.fullmatch(val) and 0 < float(val) < math.inf):
         raise ValueError(val)
-    return val.strip()
-
-
-def _thin_K(val: str) -> int | str:
-    """The thin cat's K: "auto" or an integer."""
-    return val if val == "auto" else int(val)
+    return val
 
 
 def parse_cat_spec(
@@ -282,28 +281,27 @@ def parse_cat_spec(
     "thin:K=auto" / "thin:K=12".  A bare "rand" uses `default_seed`.
     """
     oracle.check_graph(g)
-    kind, _, rest = spec.partition(":")
-    kind = kind.strip()
-    if kind in ("sqrt", "sweep", "stay"):
-        parse_spec_fields(spec, rest, {})
-        if kind == "sqrt":
-            return sqrt_cat(oracle)
-        return SweepCat(g) if kind == "sweep" else StayCat(g)
-    if kind == "rand":
-        fields = parse_spec_fields(spec, rest, {"seed": (int, default_seed)})
-        return SeededRandomCat(g, fields["seed"])
+    kind, v = read_spec(spec, {
+        "sqrt": {},
+        "sweep": {},
+        "stay": {},
+        "rand": {"seed": (read_int, default_seed)},
+        "fat": {"c": (_fat_c, None)},
+        "thin": {"K": (lambda text: text if text == "auto" else read_int(text, 1), None)},
+    })
+    if kind == "sqrt":
+        return sqrt_cat(oracle)
+    plain = {"sweep": SweepCat, "stay": StayCat, "rand": SeededRandomCat}.get(kind)
+    if plain:
+        return plain(g, **v)
     if kind == "fat":
-        val = parse_spec_fields(spec, rest, {"c": (_fat_c, None)})["c"]
-        scaled = float(val) * math.sqrt(g.n)
+        scaled = float(v["c"]) * math.sqrt(g.n)
         if not math.isfinite(scaled):
-            raise GraphError(f"spec {spec!r}: bad value {val!r} for field 'c'")
-        separation = max(1, math.ceil(scaled))
-        cat = BallCoverCat(oracle, scattered_cover(oracle, separation))
-        cat.spec = f"fat:c={val}"
+            raise GraphError(f"spec {spec!r}: bad value {v['c']!r} for field 'c'")
+        cat = BallCoverCat(oracle, scattered_cover(oracle, max(1, math.ceil(scaled))))
+        cat.spec = f"fat:c={v['c']}"
         return cat
-    if kind == "thin":
-        K = parse_spec_fields(spec, rest, {"K": (_thin_K, None)})["K"]
-        cat = SphereWalkCat(oracle, auto_thin_K(g, oracle) if K == "auto" else K)
-        cat.spec = f"thin:K={K}"
-        return cat
-    raise GraphError(f"unknown cat spec {spec!r}")
+    K = v["K"]
+    cat = SphereWalkCat(oracle, auto_thin_K(g, oracle) if K == "auto" else K)
+    cat.spec = f"thin:K={K}"
+    return cat

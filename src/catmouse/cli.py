@@ -20,6 +20,7 @@ from .graphs import (
     GraphError,
     ceil_sqrt,
     parse_graph_spec,
+    read_int,
     read_text,
     scattered_cover,
     write_graph,
@@ -127,18 +128,14 @@ def _cmd_cover(args) -> int:
     return 0
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def int_flag(low: int | None = None):
+    """argparse type of an integer flag: `read_int`, at least `low`."""
+    def read(text: str) -> int:
+        try:
+            return read_int(text, low)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return read
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -157,8 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--cat", required=True)
     p.add_argument("--mouse", required=True)
-    p.add_argument("--horizon", type=positive_int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--horizon", type=int_flag(1), required=True)
+    p.add_argument("--seed", type=int_flag(), default=0)
     p.add_argument("--track-belief", action="store_true")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)
@@ -178,13 +175,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("minimax", help="exhaustive game value on a tiny instance")
     p.add_argument("--graph", required=True)
-    p.add_argument("--horizon", type=positive_int, required=True)
-    p.add_argument("--distance", type=non_negative_int, required=True)
+    p.add_argument("--horizon", type=int_flag(1), required=True)
+    p.add_argument("--distance", type=int_flag(0), required=True)
     p.set_defaults(fn=_cmd_minimax)
 
     p = sub.add_parser("cover", help="emit a scattered ball cover as JSON")
     p.add_argument("--graph", required=True)
-    p.add_argument("--separation", type=int, default=None)
+    p.add_argument("--separation", type=int_flag(1), default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_cover)
 

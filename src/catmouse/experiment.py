@@ -20,14 +20,15 @@ from functools import lru_cache
 from .cats import parse_cat_spec
 from .engine import GameError, localization_report, run_game
 from .graphs import (
-    SPIDER_FIELDS,
+    GRAPH_KINDS,
     DistanceOracle,
     Graph,
     GraphError,
     ceil_sqrt,
     parse_graph_spec,
-    parse_spec_fields,
     read_fields,
+    read_int,
+    read_spec,
 )
 from .mice import parse_mouse_spec
 
@@ -98,19 +99,13 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:12]
 
 
-def _at_least_one(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError(text)
-    return value
-
-
 def _seed_list(text: str) -> tuple[int, ...]:
-    return tuple(int(s) for s in text.split(","))
+    return tuple(read_int(s.strip()) for s in text.split(","))
 
 
-def _bound(text: str) -> int | str:
-    return text if text in FORMULA_TAGS else int(text)
+def _bound(low: int):
+    """Reader of a bound field: a formula tag, or an integer >= low."""
+    return lambda text: text if text in FORMULA_TAGS else read_int(text, low)
 
 
 def _bound_kind(text: str) -> str:
@@ -130,11 +125,11 @@ CONFIG_FIELDS = {
     "graph": (str, None),
     "cat": (str, None),
     "mouse": (str, None),
-    "horizon": (_at_least_one, None),
+    "horizon": (lambda text: read_int(text, 1), None),
     "seeds": (_seed_list, None),
-    "repetitions": (_at_least_one, 1),
-    "bound_d": (_bound, "sqrt32n"),
-    "bound_t": (_bound, "sqrt2n"),
+    "repetitions": (lambda text: read_int(text, 1), 1),
+    "bound_d": (_bound(0), "sqrt32n"),
+    "bound_t": (_bound(1), "sqrt2n"),
     "bound_kind": (_bound_kind, "upper"),
     "save_transcripts": (_yes_no, False),
 }
@@ -179,10 +174,9 @@ def resolve_bound(tag: int | str | None, g: Graph, cat, cfg: ExperimentConfig) -
             raise GraphError("threeHalvesK bound needs a sphere-walk cat")
         return (3 * K + 1) // 2
     if tag == "tOver12":
-        kind, _, rest = cfg.graph.partition(":")
-        if kind.strip() != "spider":
+        if cfg.graph.partition(":")[0].strip() != "spider":
             raise GraphError("tOver12 bound needs a spider graph spec")
-        return parse_spec_fields(cfg.graph, rest, SPIDER_FIELDS)["t"] // 12
+        return read_spec(cfg.graph, GRAPH_KINDS)[1]["t"] // 12
     raise GraphError(f"unknown bound tag {tag!r}")
 
 
@@ -285,6 +279,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Report:
         raise GraphError(f"experiment horizon must be >= 1, got {cfg.horizon}")
     if cfg.repetitions < 1:
         raise GraphError(f"experiment repetitions must be >= 1, got {cfg.repetitions}")
+    if isinstance(cfg.bound_d, int) and cfg.bound_d < 0:
+        raise GraphError(f"experiment bound_d must be >= 0, got {cfg.bound_d}")
+    if isinstance(cfg.bound_t, int) and cfg.bound_t < 1:
+        raise GraphError(f"experiment bound_t must be >= 1, got {cfg.bound_t}")
     if cfg.bound_kind not in ("upper", "lower"):
         raise GraphError(f"experiment bound_kind must be 'upper' or 'lower', got {cfg.bound_kind!r}")
     g, oracle, graph_spec = corpus_graph(cfg.graph)

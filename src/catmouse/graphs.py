@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-import re
 import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass
@@ -395,9 +394,6 @@ class SpiderSpec:
             raise GraphError(f"no spider vertex at branch {branch}, depth {depth}")
         return 1 + (branch - 1) * self.t + (depth - 1)
 
-    def spec_string(self) -> str:
-        return f"spider:t={self.t},extra={self.extra}"
-
 
 @lru_cache(maxsize=16)
 def gen_spider(spec: SpiderSpec) -> Graph:
@@ -456,6 +452,18 @@ def gen_random_tree(n: int, seed: int) -> Graph:
     return Graph(n, [(rng.randrange(v), v) for v in range(1, n)])
 
 
+def read_int(text: str, low: int | None = None) -> int:
+    """The integer that `text` spells in ASCII digits after an optional '-'
+    (no '+', '_', space or other digit); ValueError otherwise or below `low`."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    value = int(text)
+    if low is not None and value < low:
+        raise ValueError(f"must be >= {low}, got {value}")
+    return value
+
+
 def read_fields(items, fields: dict) -> tuple[dict, list[str]]:
     """Values and problems for `(where, key, raw value)` items.
 
@@ -500,62 +508,64 @@ def read_fields(items, fields: dict) -> tuple[dict, list[str]]:
     return values, problems
 
 
-def parse_spec_fields(spec: str, rest: str, fields: dict) -> dict:
-    """Fields of the "k=v,k=v" text `rest` that follows "kind:" in `spec`,
-    read by `read_fields`; the first problem raises GraphError naming the
-    field and the whole spec."""
+def read_spec(spec: str, kinds: dict) -> tuple[str, dict]:
+    """The kind and field values of a `kind[:key=value,...]` spec.  `kinds`
+    maps each allowed kind to its field table for `read_fields`.  Keys and
+    values are stripped once; a bare value (no '=') fills the kind's first
+    field.  An unknown kind, or the first field problem, raises GraphError."""
+    kind, _, rest = spec.partition(":")
+    kind = kind.strip()
+    if kind not in kinds:
+        raise GraphError(
+            f"spec {spec!r}: unknown kind {kind!r} (allowed: {', '.join(kinds)})"
+        )
+    fields = kinds[kind]
+    first = next(iter(fields), None)
     items = []
     rest = rest.strip()
     for part in rest.split(",") if rest else ():
         key, sep, val = part.partition("=")
         if sep:
-            items.append(("", key.strip(), val))
+            items.append(("", key.strip(), val.strip()))
+        elif part.strip() and first is not None:
+            items.append(("", first, part.strip()))
         else:
             items.append(("", None, f"field {part.strip()!r} is not key=value"))
     values, problems = read_fields(items, fields)
     if problems:
         raise GraphError(f"spec {spec!r}: {problems[0]}")
-    return values
+    return kind, values
 
 
-SPIDER_FIELDS = {"t": (int, None), "extra": (int, 0)}
+def _grid_shape(text: str) -> tuple[int, int]:
+    rows, cols = text.split("x")  # ValueError unless exactly one 'x'
+    return read_int(rows), read_int(cols)
 
 
-_GRID_RE = re.compile(r"^(\d+)x(\d+)$")
+GRAPH_KINDS = {
+    "path": {"n": (read_int, None)},
+    "cycle": {"n": (read_int, None)},
+    "grid": {"shape": (_grid_shape, None)},
+    "rt": {"n": (read_int, None), "seed": (read_int, 0)},
+    "spider": {"t": (read_int, None), "extra": (read_int, 0)},
+    "file": {"path": (str, None)},  # parse_graph_spec reads PATH verbatim
+}
 
 
 def parse_graph_spec(spec: str) -> tuple[Graph, str]:
-    """Build a graph from a compact spec string.
-
-    Supported forms: "path:5" / "path:n=5", "cycle:10" / "cycle:n=10",
-    "grid:3x4", "rt:n=100,seed=7", "spider:t=12,extra=0", "file:PATH".
-    Returns (graph, canonical spec string).
-    """
-    kind, _, rest = spec.partition(":")
-    kind = kind.strip()
-    rest = rest.strip()
-    if kind in ("path", "cycle"):
-        n = parse_spec_fields(
-            spec, rest if "=" in rest else f"n={rest}", {"n": (int, None)}
-        )["n"]
-        g = gen_path(n) if kind == "path" else gen_cycle(n)
-        return g, f"{kind}:n={n}"
+    """(graph, canonical spec) for a spec of GRAPH_KINDS, such as "path:n=5",
+    "grid:3x4" or "spider:t=12,extra=0"; "file:PATH" takes PATH verbatim,
+    since a path may hold ',' or '='."""
+    kind, _, path = spec.partition(":")
+    if kind.strip() == "file":
+        return parse_graph(read_text(path.strip())), spec
+    kind, v = read_spec(spec, GRAPH_KINDS)
     if kind == "grid":
-        m = _GRID_RE.match(rest)
-        if not m:
-            raise GraphError(f"grid spec must look like grid:RxC, got {spec!r}")
-        rows, cols = int(m.group(1)), int(m.group(2))
+        rows, cols = v["shape"]
         return gen_grid(rows, cols), f"grid:{rows}x{cols}"
-    if kind == "rt":
-        params = parse_spec_fields(spec, rest, {"n": (int, None), "seed": (int, 0)})
-        g = gen_random_tree(params["n"], params["seed"])
-        return g, f"rt:n={params['n']},seed={params['seed']}"
-    if kind == "spider":
-        sp = SpiderSpec(**parse_spec_fields(spec, rest, SPIDER_FIELDS))
-        return gen_spider(sp), sp.spec_string()
-    if kind == "file":
-        return parse_graph(read_text(rest)), spec
-    raise GraphError(f"unknown graph spec kind {kind!r} in {spec!r}")
+    build = {"path": gen_path, "cycle": gen_cycle, "rt": gen_random_tree}.get(kind)
+    g = build(**v) if build else gen_spider(SpiderSpec(**v))
+    return g, f"{kind}:" + ",".join(f"{key}={v[key]}" for key in GRAPH_KINDS[kind])
 
 
 def read_text(path: str) -> str:
@@ -570,22 +580,19 @@ def read_text(path: str) -> str:
 def parse_graph(text: str) -> Graph:
     """Parse the edge-list text format: header "n m", then m lines "u v".
 
-    Lines starting with '#' are ignored.  Rejects self-loops, duplicate
-    edges, disconnected graphs and malformed lines, naming the line.
+    Lines starting with '#' are ignored.  A malformed line, a header no
+    connected graph can match and an edge `Graph` rejects raise ParseError
+    naming the line; a disconnected graph names the header line.
     """
-    lines = text.splitlines()
     header = None
     edges = []
     header_line = 0
-    for idx, raw in enumerate(lines, start=1):
+    for idx, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"line {idx}: expected two integers, got {raw!r}")
         try:
-            a, b = int(parts[0]), int(parts[1])
+            a, b = map(read_int, line.split())  # ValueError unless two integers
         except ValueError:
             raise ParseError(f"line {idx}: expected two integers, got {raw!r}") from None
         if header is None:
@@ -598,26 +605,27 @@ def parse_graph(text: str) -> Graph:
     n, m = header
     if n < 1 or m < 0:
         raise ParseError(f"line {header_line}: invalid header n={n} m={m}")
+    if m < n - 1:
+        raise ParseError(
+            f"line {header_line}: header declares {m} edges, and a graph on "
+            f"{n} vertices with fewer than {n - 1} edges is disconnected"
+        )
     if len(edges) != m:
         raise ParseError(
             f"line {header_line}: header declares {m} edges, found {len(edges)}"
         )
-    seen = set()
-    pairs = []
-    for idx, u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"line {idx}: edge ({u},{v}) out of range for n={n}")
-        if u == v:
-            raise ParseError(f"line {idx}: self-loop {u}-{v}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise ParseError(f"line {idx}: duplicate edge {u}-{v}")
-        seen.add(key)
-        pairs.append((u, v))
+    at = header_line
+
+    def pairs():  # `at` follows the edge Graph is reading, then the header
+        nonlocal at
+        for at, u, v in edges:
+            yield u, v
+        at = header_line
+
     try:
-        return Graph(n, pairs)
+        return Graph(n, pairs())
     except GraphError as exc:
-        raise ParseError(f"line {header_line}: {exc}") from None
+        raise ParseError(f"line {at}: {exc}") from None
 
 
 def write_graph(g: Graph) -> str:

@@ -23,7 +23,7 @@ import copy
 import random
 
 from .engine import GameError, GameView, MouseStrategy
-from .graphs import GraphError, SpiderSpec, gen_spider, parse_spec_fields
+from .graphs import GraphError, SpiderSpec, gen_spider, read_int, read_spec
 
 
 class DepthPlan:
@@ -282,15 +282,13 @@ def parse_mouse_spec(spec: str, default_seed: int = 0) -> MouseStrategy:
     "greedy:seed=3".  Seedable kinds without an explicit seed use
     `default_seed`.
     """
-    kind, _, rest = spec.partition(":")
-    kind = kind.strip()
-    if kind == "spider":
-        return SpiderMouse(parse_spec_fields(spec, rest, {"t": (int, None)})["t"])
-    seeded = {
+    seed = {"seed": (read_int, default_seed)}
+    kind, values = read_spec(
+        spec, {"spider": {"t": (read_int, None)}, "stationary": seed, "rw": seed, "greedy": seed}
+    )
+    return {
+        "spider": SpiderMouse,
         "stationary": StationaryMouse,
         "rw": RandomWalkMouse,
         "greedy": GreedyAwayMouse,
-    }.get(kind)
-    if seeded is None:
-        raise GraphError(f"unknown mouse spec {spec!r}")
-    return seeded(parse_spec_fields(spec, rest, {"seed": (int, default_seed)})["seed"])
+    }[kind](**values)

@@ -386,6 +386,16 @@ class TestParseCatSpec:
         assert parse_cat_spec("fat:c=0.5", g, oracle).spec == "fat:c=0.5"
         assert parse_cat_spec("fat:c=1.0", g, oracle).spec == "fat:c=1.0"
 
+    def test_thin_K_is_stripped_like_every_value(self):
+        g = gen_cycle(30)
+        oracle = DistanceOracle(g)
+        assert parse_cat_spec("thin:K= 12", g, oracle).spec == "thin:K=12"
+        assert parse_cat_spec("thin:K= auto", g, oracle).spec == "thin:K=auto"
+        auto = parse_cat_spec("thin:K=auto", g, oracle).K
+        assert parse_cat_spec("thin:K= auto", g, oracle).K == auto
+        assert parse_cat_spec("thin:auto", g, oracle).spec == "thin:K=auto"
+        assert parse_cat_spec("rand:7", g, oracle).spec == "rand:seed=7"
+
     def test_fat_huge_c_is_one_center(self):
         g = gen_path(10)
         assert parse_cat_spec("fat:c=1e300", g, DistanceOracle(g)).centers == (0,)
@@ -416,6 +426,13 @@ class TestParseCatSpec:
             ("sqrt:x=1", "'x'"),
             ("stay:K=1", "'K'"),
             ("sweep:fast", "'fast'"),
+            ("rand:seed=1_0", "'seed'"),
+            ("rand:seed=+3", "'seed'"),
+            ("thin:K=0", "'K'"),
+            ("fat:c=1_0", "'c'"),
+            ("fat:c=+2", "'c'"),
+            ("fat:c=\u0662", "'c'"),
+            ("psychic", r"unknown kind 'psychic' \(allowed: sqrt, sweep, stay, rand, fat, thin\)"),
         ):
             with pytest.raises(GraphError, match=field):
                 parse_cat_spec(spec, g, oracle)

@@ -114,6 +114,11 @@ class TestConfigParsing:
         with pytest.raises(GraphError, match="line 4: expected 'key: value', got 'horizon 4'"):
             parse_config_text(text)
 
+    def test_seeds_may_be_spaced(self):
+        text = _FIELDS_OK + "seeds: 1, 2 ,-3\nbound_d: 0\nbound_t: 1\n"
+        cfg = parse_config_text(text)
+        assert (cfg.seeds, cfg.bound_d, cfg.bound_t) == ((1, 2, -3), 0, 1)
+
     def test_bad_bound_tag(self):
         text = (
             "graph: path:n=5\ncat: sweep\nmouse: stationary\n"
@@ -252,6 +257,24 @@ class TestRunExperiment:
             horizon=3, seeds=(1,), repetitions=repetitions,
         )
         with pytest.raises(GraphError, match="repetitions"):
+            run_experiment(cfg)
+
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            ({"bound_d": -1}, "bound_d must be >= 0, got -1"),
+            ({"bound_t": 0}, "bound_t must be >= 1, got 0"),
+        ],
+        ids=["bound_d -1", "bound_t 0"],
+    )
+    def test_explicit_bounds_below_their_floor_rejected(self, bounds, message):
+        # bound_d = -1 with bound_kind lower would pass every row: no belief
+        # radius is ever <= -1.
+        cfg = ExperimentConfig(
+            graph="path:n=9", cat="sweep", mouse="stationary",
+            horizon=4, seeds=(1, 2), bound_kind="lower", **{"bound_t": None, **bounds},
+        )
+        with pytest.raises(GraphError, match=message):
             run_experiment(cfg)
 
     def test_unknown_bound_kind_rejected(self):
@@ -407,6 +430,32 @@ USAGE_ERRORS = [
             ["experiment", _config()[1] + "save_transcripts: ture\n"],
             "'save_transcripts'",
         ),
+        ("gen path:n=1_0", ["gen", "--spec", "path:n=1_0"], "'n'"),
+        ("gen spider:t=+12", ["gen", "--spec", "spider:t=+12"], "'t'"),
+        ("gen grid:3 x3", ["gen", "--spec", "grid:3 x3"], "'shape'"),
+        ("mouse spider:t=Arabic-Indic 12", _simulate(mouse="spider:t=\u0661\u0662"), "'t'"),
+        (
+            "config seeds 1_0, +2",
+            ["experiment", _config()[1].replace("seeds: 1", "seeds: 1_0, +2")],
+            "line 5: bad value '1_0, +2' for field 'seeds'",
+        ),
+        (
+            "config bound_d -1",
+            ["experiment", _config()[1].replace("bound_d: 10", "bound_d: -1")],
+            "line 7: bad value '-1' for field 'bound_d'",
+        ),
+        (
+            "config bound_t 0",
+            ["experiment", _config()[1].replace("bound_t: 4", "bound_t: 0")],
+            "line 8: bad value '0' for field 'bound_t'",
+        ),
+        ("simulate seed 1_0", _simulate() + ["--seed", "1_0"], "--seed"),
+        ("simulate seed +3", _simulate() + ["--seed", "+3"], "--seed"),
+        (
+            "cover separation 0",
+            ["cover", "--graph", "path:n=9", "--separation", "0"],
+            "--separation",
+        ),
         ("gen file:directory", ["gen", "--spec", "file:{tmp}"], "{tmp}"),
         ("gen file:not utf-8", ["gen", "--spec", "file:{tmp}/latin1.txt"], "latin1.txt"),
         ("experiment config directory", ["experiment", "--config", "{tmp}"], "{tmp}"),
@@ -433,6 +482,27 @@ class TestCli:
         assert code == 2
         assert len(errors) == 1 and field in errors[0]
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (_simulate(horizon="0"), "argument --horizon: must be >= 1, got 0"),
+            (
+                ["minimax", "--graph", "path:n=3", "--horizon", "4", "--distance", "-1"],
+                "argument --distance: must be >= 0, got -1",
+            ),
+            (_simulate() + ["--seed", "1_0"], "argument --seed: not an integer: '1_0'"),
+        ],
+        ids=["horizon 0", "distance -1", "seed 1_0"],
+    )
+    def test_integer_flag_messages(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_negative_seed_is_an_integer(self, capsys):
+        assert main(_simulate() + ["--seed", "-3"]) == 0
 
     def test_gen_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "g.txt"

@@ -24,6 +24,8 @@ from catmouse.graphs import (
     gen_spider,
     parse_graph,
     parse_graph_spec,
+    read_int,
+    read_spec,
     scattered_cover,
     sphere,
     write_graph,
@@ -362,6 +364,40 @@ class TestGenerators:
             with pytest.raises(GraphError, match=field):
                 parse_graph_spec(bad)
 
+    def test_spec_keys_and_values_are_stripped(self):
+        assert parse_graph_spec(" rt : n = 30 , seed = 2 ")[1] == "rt:n=30,seed=2"
+        assert parse_graph_spec("grid: 3x4 ")[1] == "grid:3x4"
+
+    def test_file_path_is_verbatim(self, tmp_path):
+        path = tmp_path / "a,b=1 x.txt"
+        path.write_text(write_graph(gen_path(4)))
+        assert parse_graph_spec(f"file:{path}") == (gen_path(4), f"file:{path}")
+
+    def test_bare_value_fills_the_first_field(self):
+        assert parse_graph_spec("rt:30")[1] == "rt:n=30,seed=0"
+        assert parse_graph_spec("spider:3,extra=1")[1] == "spider:t=3,extra=1"
+        assert parse_graph_spec("grid:shape=2x5")[1] == "grid:2x5"
+        with pytest.raises(GraphError, match="field 'n' given twice"):
+            parse_graph_spec("path:5,n=5")
+
+    @pytest.mark.parametrize(
+        "spec, problem",
+        [
+            ("path:n=1_0", "bad value '1_0' for field 'n'"),
+            ("spider:t=+12", "bad value '+12' for field 't'"),
+            ("spider:t=\u0661\u0662", "bad value '\u0661\u0662' for field 't'"),
+            ("grid:\u0663x\u0663", "bad value '\u0663x\u0663' for field 'shape'"),
+            ("grid:3 x3", "bad value '3 x3' for field 'shape'"),
+            ("grid:3x4x5", "bad value '3x4x5' for field 'shape'"),
+            ("grid", "missing field 'shape'"),
+            ("torus:3x3", "unknown kind 'torus' (allowed: path, cycle, grid, rt, spider, file)"),
+        ],
+    )
+    def test_bad_specs_name_the_field(self, spec, problem):
+        with pytest.raises(GraphError) as err:
+            parse_graph_spec(spec)
+        assert str(err.value) == f"spec {spec!r}: {problem}"
+
     def test_spec_dispatches_to_generators(self):
         assert parse_graph_spec("path:n=5") == (gen_path(5), "path:n=5")
         assert parse_graph_spec("cycle:6") == (gen_cycle(6), "cycle:n=6")
@@ -404,12 +440,26 @@ class TestEdgeListIO:
             ("# empty\n0 0\n", "line 2: invalid header n=0 m=0"),
             ("3 3\n0 1\n1 2\n", "line 1: header declares 3 edges, found 2"),
             ("3 2\n0 1\n# next\n1 3\n", r"line 4: edge \(1,3\) out of range for n=3"),
+            ("2 1\n0 +1\n", r"line 2: expected two integers, got '0 \+1'"),
+            ("2 1\n0 1_0\n", "line 2: expected two integers, got '0 1_0'"),
+            ("3 2\n0 1\n2 2\n", "line 3: self-loop at vertex 2"),
+            ("3 3\n0 1\n1 2\n2 1\n", r"line 4: duplicate edge \(2,1\)"),
+            ("4 3\n0 1\n1 2\n2 0\n", r"line 1: graph is disconnected \(3 of 4 reachable\)"),
         ],
-        ids=["three-tokens", "comments-only", "header-0-0", "edge-count", "edge-range"],
+        ids=[
+            "three-tokens", "comments-only", "header-0-0", "edge-count", "edge-range",
+            "plus-sign", "underscore", "self-loop", "duplicate", "disconnected",
+        ],
     )
     def test_bad_text_names_the_line(self, text, message):
         with pytest.raises(ParseError, match=message):
             parse_graph(text)
+
+    def test_too_few_edges_fail_at_the_header(self):
+        # No adjacency list is built: Graph is never reached.
+        with pytest.raises(ParseError, match="line 1: header declares 0 edges, and a graph on "
+                           "1000000 vertices with fewer than 999999 edges is disconnected"):
+            parse_graph("1000000 0\n")
 
     @pytest.mark.parametrize("g", CORPUS)
     def test_roundtrip(self, g):
@@ -523,3 +573,40 @@ def test_ceil_sqrt_exact():
     for x in range(1, 500):
         r = ceil_sqrt(x)
         assert (r - 1) ** 2 < x <= r**2
+
+
+class TestReaders:
+    @pytest.mark.parametrize(
+        "text, value", [("0", 0), ("12", 12), ("-3", -3), ("007", 7), ("-0", 0)]
+    )
+    def test_read_int_accepts_ascii_digits(self, text, value):
+        assert read_int(text) == value
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "-", "+2", "1_0", " 1", "1 ", "1.0", "1e3", "0x1f", "\u0661\u0662", "\u00b2", "--1"],
+    )
+    def test_read_int_rejects_everything_else(self, text):
+        with pytest.raises(ValueError, match="not an integer"):
+            read_int(text)
+
+    def test_read_int_floor(self):
+        assert read_int("1", 1) == 1
+        with pytest.raises(ValueError, match="must be >= 1, got 0"):
+            read_int("0", 1)
+        assert read_int("-5", None) == -5
+
+    def test_read_spec(self):
+        kinds = {"a": {}, "b": {"x": (read_int, None), "y": (read_int, 4)}}
+        assert read_spec("a", kinds) == ("a", {})
+        assert read_spec(" b : y = 2 , x = 1 ", kinds) == ("b", {"y": 2, "x": 1})
+        assert read_spec("b:9", kinds) == ("b", {"x": 9, "y": 4})
+        for spec, problem in (
+            ("c:x=1", "unknown kind 'c' (allowed: a, b)"),
+            ("a:9", "field '9' is not key=value"),
+            ("b:x=1,", "field '' is not key=value"),
+            ("b", "missing field 'x'"),
+        ):
+            with pytest.raises(GraphError) as err:
+                read_spec(spec, kinds)
+            assert str(err.value) == f"spec {spec!r}: {problem}"

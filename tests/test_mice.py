@@ -407,6 +407,10 @@ class TestParseMouseSpec:
     def test_default_seed(self):
         assert parse_mouse_spec("rw", default_seed=17).seed == 17
 
+    def test_bare_value_fills_the_first_field(self):
+        assert parse_mouse_spec("spider:12").spec == "spider:t=12"
+        assert parse_mouse_spec(" rw : 3 ").spec == "rw:seed=3"
+
     def test_bad_specs(self):
         for spec, field in (
             ("spider", "'t'"),
@@ -419,6 +423,10 @@ class TestParseMouseSpec:
             ("greedy:seed=1,extra=2", "'extra'"),
             ("stationary:seed=", "'seed'"),
             ("rw:seed", "'seed'"),
+            ("rw:seed=1_0", "'seed'"),
+            ("spider:t=+12", "'t'"),
+            ("spider:t=\u0661\u0662", "'t'"),
+            ("telepath", r"unknown kind 'telepath' \(allowed: spider, stationary, rw, greedy\)"),
         ):
             with pytest.raises(GraphError, match=field):
                 parse_mouse_spec(spec)
