@@ -1,10 +1,12 @@
 """Game engine: turn order, feedback bits, exact belief tracking, transcripts.
 
-Time is 1-based.  A step consists of the mouse moving first, then the cat
-querying a vertex.  At the end of step i >= 2 the bit b_i is computed; it is
-delivered to the cat at the start of its next query (so the cat's first two
-queries are made with no information).  The belief set M_i is the exact set
-of vertices consistent with the observed bits; M_1 is all of V.
+Time is 1-based.  A step consists of the cat querying a vertex c_i, then
+the mouse moving with c_i in view.  At the end of step i >= 2 the bit b_i is
+computed; it is delivered to the cat with its next query (so the cat's first
+two queries are made with no information).  c_i depends only on b_2..b_{i-1},
+and the mouse knows the cat's strategy, so showing it c_i plays the same
+games as hiding it.  The belief set M_i is the exact set of vertices
+consistent with the observed bits; M_1 is all of V.
 """
 
 from __future__ import annotations
@@ -111,9 +113,10 @@ class CatStrategy(ABC):
 class MouseStrategy(ABC):
     """Mouse decision interface.
 
-    The mouse sees everything: the graph, the full history so far, and a
-    simulatable copy of the cat (via GameView.clone_cat).  Every returned
-    move must be the current vertex or one of its neighbors.
+    The mouse sees everything: the graph, the full history so far including
+    this step's query (`view.c[view.step]` is c_i), and a simulatable copy
+    of the cat (via GameView.clone_cat).  Every returned move must be the
+    current vertex or one of its neighbors.
     """
 
     spec = "mouse"
@@ -126,7 +129,9 @@ class MouseStrategy(ABC):
 
 
 class GameView:
-    """What the mouse is allowed to look at while deciding a move."""
+    """What the mouse is allowed to look at while deciding its move at step
+    i = `step`: the queries c_1..c_i, its own moves m_1..m_{i-1} and the bits
+    b_2..b_{i-1}, all 1-based."""
 
     __slots__ = ("graph", "oracle", "step", "c", "m", "b", "_cat")
 
@@ -140,8 +145,9 @@ class GameView:
         self._cat = cat
 
     def clone_cat(self) -> CatStrategy:
-        """Independent copy of the cat at its current state; simulating on it
-        never affects the live game."""
+        """Independent copy of the cat at its current state, just after its
+        query c_i; its next query is c_{i+1}.  Simulating on it never affects
+        the live game."""
         return self._cat.clone()
 
 
@@ -207,11 +213,12 @@ def run_game(
 ) -> Transcript:
     """Run one game for `horizon` steps and record the transcript.
 
-    The mouse moves first each step and may simulate the cat through the
-    view.  With track_belief the exact belief mask is recorded per step
-    (M_1 = V); track_radius (default: same as track_belief) additionally
-    records rad_G(M_i) and its center by `mask_radius`, and requires
-    track_belief.  `oracle` must be g's own: every bit reads its distances.
+    Each step the cat queries first; the mouse then moves with c_i in
+    `view.c[i]` and may simulate the cat through the view.  With
+    track_belief the exact belief mask is recorded per step (M_1 = V);
+    track_radius (default: same as track_belief) additionally records
+    rad_G(M_i) and its center by `mask_radius`, and requires track_belief.
+    `oracle` must be g's own: every bit reads its distances.
     """
     if horizon < 1:
         raise GameError(f"horizon must be >= 1, got {horizon}")
@@ -232,14 +239,14 @@ def run_game(
     m = view.m
     b = view.b
 
-    m1 = mouse.first_position(view)
-    if not (0 <= m1 < g.n):
-        raise RuleViolationError(f"step 1: mouse start {m1} out of range")
-    m.append(m1)
     c1 = cat.first_query()
     if not (0 <= c1 < g.n):
         raise RuleViolationError(f"step 1: cat query {c1} out of range")
     c.append(c1)
+    m1 = mouse.first_position(view)
+    if not (0 <= m1 < g.n):
+        raise RuleViolationError(f"step 1: mouse start {m1} out of range")
+    m.append(m1)
 
     if track_belief:
         members = np.ones(g.n, dtype=bool)
@@ -251,6 +258,10 @@ def run_game(
 
     for i in range(2, horizon + 1):
         view.step = i
+        ci = cat.next_query(b[i - 1])  # b[1] is None: no bit before step 2
+        if not (0 <= ci < g.n):
+            raise RuleViolationError(f"step {i}: cat query {ci} out of range")
+        c.append(ci)
         mi = mouse.next_move(view)
         prev_m = m[i - 1]
         if mi != prev_m and mi not in g.adjacency[prev_m]:
@@ -258,10 +269,6 @@ def run_game(
                 f"step {i}: mouse moved {prev_m} -> {mi}, not in closed neighborhood"
             )
         m.append(mi)
-        ci = cat.next_query(b[i - 1] if i >= 3 else None)
-        if not (0 <= ci < g.n):
-            raise RuleViolationError(f"step {i}: cat query {ci} out of range")
-        c.append(ci)
         bit = feedback_bit(
             oracle.distance(c[i - 1], prev_m), oracle.distance(ci, mi)
         )

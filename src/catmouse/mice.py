@@ -86,19 +86,13 @@ class DepthPlan:
         return bit
 
 
-def _simulate_queries(spider, clone, plan, count, entry_bit, at_game_start):
-    """Drive a cat clone `count` queries forward, feeding it the bits the
-    depth plan generates; returns the queried vertices."""
-    out = []
-    bit = entry_bit
-    for k in range(count):
-        if at_game_start and k == 0:
-            q = clone.first_query()
-        else:
-            q = clone.next_query(bit)
-        out.append(q)
-        bit = plan.advance(spider.depth_of(q))
-    return out
+def _simulate_queries(spider, clone, plan, first, count):
+    """`count` queries of a cat clone, starting at `first`, the one it has
+    just made; the clone is fed the bits the depth plan generates."""
+    queries = [first]
+    for _ in range(count - 1):
+        queries.append(clone.next_query(plan.advance(spider.depth_of(queries[-1]))))
+    return queries[:count]
 
 
 def _free_branch(spider: SpiderSpec, queries, taken=(), *, step: int = 1) -> int:
@@ -151,12 +145,11 @@ class SpiderMouse(MouseStrategy):
         t = self.t
         self.plan = DepthPlan(t)
         queries = _simulate_queries(
-            self.spider, view.clone_cat(), DepthPlan(t), 2 * t // 3, None, True
+            self.spider, view.clone_cat(), DepthPlan(t), view.c[1], 2 * t // 3
         )
         self.m_branch = _free_branch(self.spider, queries)
         self.w_branch = _free_branch(self.spider, queries, (self.m_branch,))
-        # Consume the placement step with the predicted first query.
-        self.plan.advance(self.spider.depth_of(queries[0]))
+        self.plan.advance(self.spider.depth_of(view.c[1]))  # the placement step
         self.stage_events.append((1, "cycle_start"))
         self.shadow_trace.append(self.spider.vertex_at(self.w_branch, self.plan.w_depth))
         return self.spider.vertex_at(self.m_branch, self.plan.m_depth)
@@ -165,31 +158,27 @@ class SpiderMouse(MouseStrategy):
         i = view.step
         t = self.t
         plan = self.plan
-        entry_bit = view.b[i - 1] if i >= 3 else None
-        clone = view.clone_cat()
-        predicted = clone.next_query(entry_bit)
-
         if plan.stage == DepthPlan.S5_RUN_OUT and plan.m_depth == 0:
             # Leaving the center: pick a branch the cat will not query for
             # the next 11t/12 steps, this one included, and distinct from
             # the shadow's branch.
             queries = _simulate_queries(
-                self.spider, view.clone_cat(), copy.copy(plan), 11 * t // 12, entry_bit, False
+                self.spider, view.clone_cat(), copy.copy(plan), view.c[i], 11 * t // 12
             )
             self.m_branch = _free_branch(self.spider, queries, (self.w_branch,), step=i)
             self.stage_events.append((i, "branch_switch"))
 
-        bit = plan.advance(self.spider.depth_of(predicted))
+        bit = plan.advance(self.spider.depth_of(view.c[i]))
         if plan.event == "cycle_end":
             # Fresh shadow branch: unqueried over the past t/4 steps (the
-            # outward run, this step's predicted query included) and the
-            # next 2t/3, and distinct from the evader's branch.
-            lookback = [view.c[j] for j in range(max(1, i - t // 4 + 1), i)]
+            # outward run, this one included) and the next 2t/3, and
+            # distinct from the evader's branch.
+            clone = view.clone_cat()
             future = _simulate_queries(
-                self.spider, clone, copy.copy(plan), 2 * t // 3, bit, False
+                self.spider, clone, copy.copy(plan), clone.next_query(bit), 2 * t // 3
             )
             self.w_branch = _free_branch(
-                self.spider, lookback + [predicted] + future, (self.m_branch,), step=i
+                self.spider, view.c[i - t // 4 + 1 : i + 1] + future, (self.m_branch,), step=i
             )
         if plan.event:
             self.stage_events.append((i, plan.event))
@@ -233,8 +222,9 @@ class RandomWalkMouse(MouseStrategy):
 
 
 class GreedyAwayMouse(MouseStrategy):
-    """Moves to the closed-neighborhood vertex farthest from the cat's last
-    query, lowest id on ties."""
+    """Moves to the closed-neighborhood vertex farthest from the cat's query
+    of the step before, c_{i-1} (not c_i, though the view holds it), lowest
+    id on ties."""
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed

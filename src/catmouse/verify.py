@@ -28,6 +28,9 @@ from .graphs import (
     Graph,
     GraphError,
     ceil_sqrt,
+    gen_cycle,
+    gen_grid,
+    gen_path,
     gen_spider,
     parse_graph,
     scattered_cover,
@@ -151,22 +154,18 @@ def check_oracle_equivalence(quick: bool = False) -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 # Criterion 2: ball-cover elimination bound 4L + k.
 
+def _star(n: int) -> Graph:
+    """A star on n vertices around center 0; no graph spec names one."""
+    return Graph(n, [(0, i) for i in range(1, n)])
+
+
 _FAT_EXHAUSTIVE = (
-    ("path:n=9", (2, 6), 2),
-    ("path:n=10", (1, 4, 8), 2),
-    ("cycle:n=8", (0, 4), 2),
-    ("star10", (1, 2), 2),
-    ("grid:3x3", (0, 8), 2),
+    ("path:n=9", gen_path(9), (2, 6), 2),
+    ("path:n=10", gen_path(10), (1, 4, 8), 2),
+    ("cycle:n=8", gen_cycle(8), (0, 4), 2),
+    ("star10", _star(10), (1, 2), 2),
+    ("grid:3x3", gen_grid(3, 3), (0, 8), 2),
 )
-
-
-def _small_graph(spec: str) -> tuple[Graph, DistanceOracle]:
-    """A corpus graph and its shared oracle; "starN" is a star on N vertices."""
-    if spec.startswith("star"):
-        n = int(spec[4:])
-        g = Graph(n, [(0, i) for i in range(1, n)])
-        return g, DistanceOracle(g)
-    return corpus_graph(spec)[:2]
 
 
 def _lazy_walks(g: Graph, length: int):
@@ -187,8 +186,8 @@ def _lazy_walks(g: Graph, length: int):
 def check_fat_bound(quick: bool = False) -> tuple[bool, str]:
     # (a) exhaustive over every lazy walk on five fixed small instances
     checked = 0
-    for spec, centers, k in _FAT_EXHAUSTIVE:
-        g, oracle = _small_graph(spec)
+    for spec, g, centers, k in _FAT_EXHAUSTIVE:
+        oracle = DistanceOracle(g)
         cover = BallCover(centers=tuple(centers), radius_k=k)
         cat = BallCoverCat(oracle, cover)
         L = cover.count
@@ -466,7 +465,10 @@ def check_lower_bound(quick: bool = False) -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 # Criterion 7: solver value is consistent with engine play.
 
-_TINY_SPECS = ("path:n=3", "path:n=4", "cycle:n=4", "star4")
+_TINY_GRAPHS = (
+    ("path:n=3", gen_path(3)), ("path:n=4", gen_path(4)),
+    ("cycle:n=4", gen_cycle(4)), ("star4", _star(4)),
+)
 
 _TINY_CATS = ("sweep", "stay", "rand:seed=11", "rand:seed=12", "sqrt", "fat:c=1.0")
 
@@ -475,8 +477,8 @@ def check_minimax_consistency(quick: bool = False) -> tuple[bool, str]:
     horizon = 6 if quick else 8
     distances = (0, 1) if quick else (0, 1, 2)
     solved = 0
-    for spec in _TINY_SPECS:
-        g, oracle = _small_graph(spec)
+    for spec, g in _TINY_GRAPHS:
+        oracle = DistanceOracle(g)
         for d in distances:
             res = exhaustive_game_value(g, horizon, d)
             if res.winner == "mouse_wins":

@@ -312,6 +312,31 @@ class TestRunGame:
         with pytest.raises(RuleViolationError, match=f"step {step}: cat query {bad} out of range"):
             run_game(g, ScriptedCat(queries), StationaryMouse(2), 4, oracle=DistanceOracle(g))
 
+    @pytest.mark.parametrize(
+        "queries, path, step, bad", [([5], [5], 1, 5), ([0, 1, 7], [0, 1, 4], 3, 7)]
+    )
+    def test_cat_error_comes_before_mouse_error_at_one_step(self, queries, path, step, bad):
+        # The cat queries before the mouse moves, so when both break the
+        # rules at one step the cat's violation is the one reported.
+        g = gen_path(5)
+        with pytest.raises(RuleViolationError, match=f"step {step}: cat query {bad} out of range"):
+            run_game(g, ScriptedCat(queries), ScriptedMouse(path), 4, oracle=DistanceOracle(g))
+
+    def test_mouse_sees_this_steps_query(self):
+        class RecordingMouse(RandomWalkMouse):
+            def first_position(self, view):
+                self.seen = [None, view.c[view.step]]
+                return super().first_position(view)
+
+            def next_move(self, view):
+                self.seen.append(view.c[view.step])
+                return super().next_move(view)
+
+        g = gen_grid(3, 4)
+        mouse = RecordingMouse(4)
+        tr = run_game(g, SeededRandomCat(g, 7), mouse, 12, oracle=DistanceOracle(g))
+        assert mouse.seen == tr.c
+
     def test_mouse_always_in_belief(self):
         g = gen_grid(3, 4)
         for seed in range(8):

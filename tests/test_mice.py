@@ -6,14 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catmouse import engine
 from catmouse.cats import (
     BallCoverCat,
     ScriptedCat,
     SeededRandomCat,
     StayCat,
     SweepCat,
+    parse_cat_spec,
 )
 from catmouse.engine import GameError, run_game
+from catmouse.experiment import corpus_graph
 from catmouse.graphs import (
     DistanceOracle,
     GraphError,
@@ -34,6 +37,7 @@ from catmouse.mice import (
     _simulate_queries,
     parse_mouse_spec,
 )
+from catmouse.verify import _LOWER_CATS
 
 T = 12
 SPIDER = SpiderSpec(T, 0)
@@ -54,7 +58,8 @@ def safe_branch(cat, window, excluded=()):
     """The evader's branch choice at game start: simulate a clone of `cat`
     over `window` queries, then take the lowest branch neither queried nor
     excluded."""
-    queries = _simulate_queries(SPIDER, cat.clone(), DepthPlan(T), window, None, True)
+    clone = cat.clone()
+    queries = _simulate_queries(SPIDER, clone, DepthPlan(T), clone.first_query(), window)
     return _free_branch(SPIDER, queries, tuple(excluded))
 
 
@@ -215,6 +220,35 @@ class TestSpiderMouseInvariants:
 
         spec, g, oracle, mouse, tr = spider_run(lambda g, o: sqrt_cat(o))
         assert localization_report(tr, T // 12).first_success_step is None
+
+
+@pytest.mark.parametrize(
+    "graph_spec, t", [("spider:t=24,extra=0", 24), ("spider:t=12,extra=7", 12)]
+)
+def test_evader_clones_the_cat_once_per_lookahead_window(monkeypatch, graph_spec, t):
+    # The cat's query is in the view when the mouse moves, so the evader
+    # clones it only for its lookahead windows: game start, each branch
+    # switch and each cycle end.
+    clones = 0
+    original = engine.CatStrategy.clone
+
+    def counting_clone(self):
+        nonlocal clones
+        clones += 1
+        return original(self)
+
+    monkeypatch.setattr(engine.CatStrategy, "clone", counting_clone)
+    g, oracle, _ = corpus_graph(graph_spec)
+    for cat_spec in _LOWER_CATS:
+        cat = parse_cat_spec(cat_spec, g, oracle)
+        mouse = SpiderMouse(t)
+        clones = 0
+        run_game(g, cat, mouse, 300, oracle=oracle)
+        windows = sum(
+            label in ("cycle_start", "branch_switch", "cycle_end")
+            for _, label in mouse.stage_events
+        )
+        assert clones == windows, cat_spec
 
 
 class TestSpiderMouseValidation:
