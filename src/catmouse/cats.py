@@ -52,10 +52,6 @@ class EliminationCat(CatStrategy):
     def _next_round(self) -> tuple[int, ...]:
         return ()
 
-    def first_query(self) -> int:
-        self._emitted = 1
-        return self._champ
-
     def next_query(self, bit: int | None) -> int:
         t = self._emitted + 1
         self._emitted = t
@@ -84,15 +80,10 @@ class BallCoverCat(EliminationCat):
     """
 
     def __init__(self, oracle: DistanceOracle, cover: BallCover) -> None:
-        if not cover.centers:
-            raise GraphError("ball-cover cat needs at least one center")
         cover.validate(oracle)
         self.cover = cover
-        self.centers = cover.centers
-        self.L = cover.count
-        self.k = cover.radius_k
-        self.spec = f"fat:L={self.L},k={self.k}"
-        super().__init__(self.centers[0], self.centers[1:])
+        self.spec = f"fat:L={cover.count},k={cover.radius_k}"
+        super().__init__(cover.centers[0], cover.centers[1:])
 
     @property
     def champion_vertex(self) -> int:
@@ -101,7 +92,7 @@ class BallCoverCat(EliminationCat):
     @property
     def guarantee(self) -> int:
         """Distance bound the final champion satisfies: 4L + k."""
-        return 4 * self.L + self.k
+        return 4 * self.cover.count + self.cover.radius_k
 
 
 class SphereWalkCat(EliminationCat):
@@ -115,8 +106,6 @@ class SphereWalkCat(EliminationCat):
     """
 
     def __init__(self, oracle: DistanceOracle, K: int) -> None:
-        if K < 1:
-            raise GraphError(f"sphere-walk cat needs K >= 1, got {K}")
         self.oracle = oracle
         self.K = K
         levels = oracle.thin_levels(K)
@@ -161,10 +150,6 @@ class SweepCat(CatStrategy):
         self.spec = "sweep"
         self._emitted = 0
 
-    def first_query(self) -> int:
-        self._emitted = 1
-        return 0
-
     def next_query(self, bit: int | None) -> int:
         self._emitted += 1
         return (self._emitted - 1) % self.n
@@ -175,9 +160,6 @@ class StayCat(CatStrategy):
 
     def __init__(self, g: Graph) -> None:
         self.spec = "stay"
-
-    def first_query(self) -> int:
-        return 0
 
     def next_query(self, bit: int | None) -> int:
         return 0
@@ -202,10 +184,6 @@ class SeededRandomCat(CatStrategy):
         digest = hashlib.sha256(payload.encode()).digest()
         return int.from_bytes(digest[:8], "big") % self.n
 
-    def first_query(self) -> int:
-        self._emitted = 1
-        return self._derive(1)
-
     def next_query(self, bit: int | None) -> int:
         if bit is not None:
             self._bits += str(bit)
@@ -222,10 +200,6 @@ class ScriptedCat(CatStrategy):
             raise GraphError("scripted cat needs at least one query")
         self.spec = "scripted"
         self._emitted = 0
-
-    def first_query(self) -> int:
-        self._emitted = 1
-        return self.queries[0]
 
     def next_query(self, bit: int | None) -> int:
         self._emitted += 1

@@ -88,19 +88,17 @@ class BeliefKernel:
 class CatStrategy(ABC):
     """Deterministic cat decision interface.
 
-    A cat sees only the feedback bits.  `next_query` receives the freshest
-    bit, or None exactly once (before the second query, which is made with
-    no information).  Identical bit histories must yield identical query
-    sequences; seeded baselines derive every choice from their seed.
+    A cat sees only the feedback bits.  `next_query` is its one method: the
+    call for query c_i receives b_{i-1}, which is None for the first two
+    queries (both are made with no information).  Identical bit histories
+    must yield identical query sequences; seeded baselines derive every
+    choice from their seed.
 
     A strategy rebinds its attributes and never mutates them in place, so a
     shallow copy is an independent cat; subclasses must not override `clone`.
     """
 
     spec = "cat"
-
-    @abstractmethod
-    def first_query(self) -> int: ...
 
     @abstractmethod
     def next_query(self, bit: int | None) -> int: ...
@@ -213,8 +211,10 @@ def run_game(
 ) -> Transcript:
     """Run one game for `horizon` steps and record the transcript.
 
-    Each step the cat queries first; the mouse then moves with c_i in
-    `view.c[i]` and may simulate the cat through the view.  With
+    Each step, step 1 included, is one pass of the loop: the cat's
+    `next_query(b[i - 1])` comes first; the mouse then moves with c_i in
+    `view.c[i]` (by `first_position` at step 1, `next_move` after) and may
+    simulate the cat through the view.  With
     track_belief the exact belief mask is recorded per step (M_1 = V);
     track_radius (default: same as track_belief) additionally records
     rad_G(M_i) and its center by `mask_radius`, and requires track_belief.
@@ -230,7 +230,6 @@ def run_game(
     view = GameView(oracle, cat)
 
     kernel = BeliefKernel(oracle) if track_belief else None
-    members: np.ndarray | None = None
     beliefs: list | None = [None] if track_belief else None
     radii: list | None = [None] if track_radius else None
     centers: list | None = [None] if track_radius else None
@@ -238,50 +237,41 @@ def run_game(
     c = view.c
     m = view.m
     b = view.b
+    members = np.ones(g.n, dtype=bool) if track_belief else None
 
-    c1 = cat.first_query()
-    if not (0 <= c1 < g.n):
-        raise RuleViolationError(f"step 1: cat query {c1} out of range")
-    c.append(c1)
-    m1 = mouse.first_position(view)
-    if not (0 <= m1 < g.n):
-        raise RuleViolationError(f"step 1: mouse start {m1} out of range")
-    m.append(m1)
-
-    if track_belief:
-        members = np.ones(g.n, dtype=bool)
-        beliefs.append(_mask_from_bool(members))
-        if track_radius:
-            r, ctr = mask_radius(oracle, members)
-            radii.append(r)
-            centers.append(ctr)
-
-    for i in range(2, horizon + 1):
+    for i in range(1, horizon + 1):
         view.step = i
-        ci = cat.next_query(b[i - 1])  # b[1] is None: no bit before step 2
+        ci = cat.next_query(b[i - 1])  # b[0] and b[1] are None: no bit before step 2
         if not (0 <= ci < g.n):
             raise RuleViolationError(f"step {i}: cat query {ci} out of range")
         c.append(ci)
-        mi = mouse.next_move(view)
-        prev_m = m[i - 1]
-        if mi != prev_m and mi not in g.adjacency[prev_m]:
-            raise RuleViolationError(
-                f"step {i}: mouse moved {prev_m} -> {mi}, not in closed neighborhood"
+        if i == 1:
+            mi = mouse.first_position(view)
+            if not (0 <= mi < g.n):
+                raise RuleViolationError(f"step 1: mouse start {mi} out of range")
+            m.append(mi)
+        else:
+            mi = mouse.next_move(view)
+            prev_m = m[i - 1]
+            if mi != prev_m and mi not in g.adjacency[prev_m]:
+                raise RuleViolationError(
+                    f"step {i}: mouse moved {prev_m} -> {mi}, not in closed neighborhood"
+                )
+            m.append(mi)
+            bit = feedback_bit(
+                oracle.distance(c[i - 1], prev_m), oracle.distance(ci, mi)
             )
-        m.append(mi)
-        bit = feedback_bit(
-            oracle.distance(c[i - 1], prev_m), oracle.distance(ci, mi)
-        )
-        b.append(bit)
+            b.append(bit)
+            if track_belief:
+                members = kernel.update_bool(members, c[i - 1], ci, bit)
+                if not members.any():
+                    raise IllegalFeedbackError(f"belief set emptied at step {i}")
+                if not members[mi]:
+                    raise GameError(
+                        f"step {i}: true mouse position {mi} fell out of the belief set"
+                    )
 
         if track_belief:
-            members = kernel.update_bool(members, c[i - 1], ci, bit)
-            if not members.any():
-                raise IllegalFeedbackError(f"belief set emptied at step {i}")
-            if not members[mi]:
-                raise GameError(
-                    f"step {i}: true mouse position {mi} fell out of the belief set"
-                )
             beliefs.append(_mask_from_bool(members))
             if track_radius:
                 r, ctr = mask_radius(oracle, members)
@@ -296,7 +286,7 @@ def run_game(
         horizon=horizon,
         c=c,
         m=m,
-        b=b[: horizon + 1],
+        b=b,
         beliefs=beliefs,
         belief_radius=radii,
         belief_center=centers,

@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .cats import parse_cat_spec
+from .cats import BallCoverCat, parse_cat_spec
 from .engine import GameError, localization_report, run_game
 from .graphs import (
     GRAPH_KINDS,
@@ -164,10 +164,9 @@ def resolve_bound(tag: int | str | None, g: Graph, cat, cfg: ExperimentConfig) -
     if tag == "sqrt2n":
         return ceil_sqrt(2 * n)
     if tag == "fourLplusK":
-        cover = getattr(cat, "cover", None)
-        if cover is None:
+        if not isinstance(cat, BallCoverCat):
             raise GraphError("fourLplusK bound needs a ball-cover cat")
-        return 4 * cover.count + cover.radius_k
+        return cat.guarantee
     if tag == "threeHalvesK":
         K = getattr(cat, "K", None)
         if K is None:

@@ -235,7 +235,8 @@ def exhaustive_game_value(g: Graph, horizon: int, d: int) -> GameSolver:
 
 
 class SolverCat(CatStrategy):
-    """Replays a winning policy extracted from the exhaustive solver."""
+    """Replays a winning policy extracted from the exhaustive solver; its
+    first `next_query` call plays the root query."""
 
     def __init__(self, solver: GameSolver) -> None:
         self.solver = solver
@@ -245,15 +246,12 @@ class SolverCat(CatStrategy):
         self._used = 0
         self._last = 0
 
-    def first_query(self) -> int:
-        q = self.solver.root_query if self.solver.root_query is not None else 0
-        self._mask = self.solver.full_mask
-        self._prev = q
-        self._used = 1
-        self._last = q
-        return q
-
     def next_query(self, bit: int | None) -> int:
+        if self._used == 0:
+            q = self.solver.root_query if self.solver.root_query is not None else 0
+            self._prev = self._last = q
+            self._used = 1
+            return q
         if bit is not None:
             nm = self.solver.update(self._mask, self._prev, self._last, bit)
             if nm:
@@ -299,11 +297,11 @@ def adversarial_record(solver: GameSolver, cat: CatStrategy, horizon: int) -> tu
     if solver.winner != "mouse_wins":
         raise GraphError("the mouse does not win this instance")
     clone = cat.clone()
-    queries = [clone.first_query()]
+    queries = [clone.next_query(None)]
     bits: list[int] = []
     mask, prev, used = solver.full_mask, queries[0], 1
-    for step in range(2, horizon + 1):
-        cur = clone.next_query(bits[-1] if step >= 3 else None)
+    for _ in range(2, horizon + 1):
+        cur = clone.next_query(bits[-1] if bits else None)
         bit, mask = solver.refuting_bit(mask, prev, used, cur)
         queries.append(cur)
         bits.append(bit)

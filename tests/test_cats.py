@@ -35,7 +35,7 @@ from catmouse.solver import exhaustive_game_value
 
 def drive_with_bits(cat, bits):
     """Replay a fixed bit sequence; returns the query sequence it produces."""
-    queries = [cat.first_query(), cat.next_query(None)]
+    queries = [cat.next_query(None), cat.next_query(None)]
     for b in bits:
         queries.append(cat.next_query(b))
     return queries
@@ -130,6 +130,20 @@ def test_ball_cover_cat_matches_closed_form(centers, bits):
     queries, champion = closed_form_queries(tuple(centers), bits)
     assert drive_with_bits(cat, bits) == queries
     assert cat.champion_vertex == champion
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda oracle: BallCoverCat(oracle, BallCover((), 1)), "no centers"),
+        (lambda oracle: SphereWalkCat(oracle, 0), "K must be >= 1"),
+    ],
+    ids=["ball-cover-no-centers", "sphere-walk-K-0"],
+)
+def test_core_cat_bad_parameter_rejected(build, message):
+    # BallCover.validate and DistanceOracle.thin_levels raise these.
+    with pytest.raises(GraphError, match=message):
+        build(DistanceOracle(gen_path(3)))
 
 
 class TestSphereWalkCat:
@@ -309,7 +323,7 @@ class TestBitHistoryDeterminism:
         g = gen_cycle(24)
         oracle = DistanceOracle(g)
         cat = SphereWalkCat(oracle, auto_thin_K(g, oracle))
-        cat.first_query()
+        cat.next_query(None)
         cat.next_query(None)
         cat.next_query(1)
         snap = cat.clone()
@@ -333,10 +347,11 @@ class TestBitHistoryDeterminism:
 
     def test_core_cats_share_one_pair_machine(self):
         for cls in (BallCoverCat, SphereWalkCat):
-            assert not {"first_query", "next_query"} & set(vars(cls))
+            assert "next_query" not in vars(cls)
 
     def test_no_strategy_overrides_clone(self):
-        # perfbench counts clones by wrapping CatStrategy.clone alone.
+        # perfbench counts clones by wrapping CatStrategy.clone alone, and
+        # labels every live query through next_query, the one query method.
         def subclasses(cls):
             for sub in cls.__subclasses__():
                 yield sub
@@ -345,6 +360,7 @@ class TestBitHistoryDeterminism:
         found = list(subclasses(CatStrategy))
         assert {"BallCoverCat", "SphereWalkCat", "SolverCat"} <= {c.__name__ for c in found}
         assert [c.__name__ for c in found if "clone" in vars(c)] == []
+        assert [c.__name__ for c in found if "first_query" in vars(c)] == []
 
 
 class TestFactories:
@@ -398,7 +414,7 @@ class TestParseCatSpec:
 
     def test_fat_huge_c_is_one_center(self):
         g = gen_path(10)
-        assert parse_cat_spec("fat:c=1e300", g, DistanceOracle(g)).centers == (0,)
+        assert parse_cat_spec("fat:c=1e300", g, DistanceOracle(g)).cover.centers == (0,)
 
     def test_default_seed_flows_into_rand(self):
         g = gen_path(10)

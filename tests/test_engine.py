@@ -337,6 +337,25 @@ class TestRunGame:
         tr = run_game(g, SeededRandomCat(g, 7), mouse, 12, oracle=DistanceOracle(g))
         assert mouse.seen == tr.c
 
+    @pytest.mark.parametrize("h", [1, 2, 12])
+    def test_cat_gets_one_next_query_call_per_step(self, h):
+        # next_query is a cat's one query method: the call for c_i gets
+        # b_{i-1}, so the arguments are None, None, b_2, ..., b_{h-1}.
+        class RecordingCat(SeededRandomCat):
+            def __init__(self, g, seed):
+                super().__init__(g, seed)
+                self.seen = []
+
+            def next_query(self, bit):
+                self.seen = self.seen + [bit]
+                return super().next_query(bit)
+
+        g = gen_grid(3, 4)
+        cat = RecordingCat(g, 7)
+        tr = run_game(g, cat, RandomWalkMouse(4), h, oracle=DistanceOracle(g))
+        assert len(cat.seen) == h
+        assert cat.seen == tr.b[:h]
+
     def test_mouse_always_in_belief(self):
         g = gen_grid(3, 4)
         for seed in range(8):

@@ -59,7 +59,7 @@ def safe_branch(cat, window, excluded=()):
     over `window` queries, then take the lowest branch neither queried nor
     excluded."""
     clone = cat.clone()
-    queries = _simulate_queries(SPIDER, clone, DepthPlan(T), clone.first_query(), window)
+    queries = _simulate_queries(SPIDER, clone, DepthPlan(T), clone.next_query(None), window)
     return _free_branch(SPIDER, queries, tuple(excluded))
 
 
@@ -86,7 +86,7 @@ class TestFindSafeBranch:
     def test_simulation_does_not_mutate_the_cat(self):
         cat = SweepCat(GS)
         safe_branch(cat, window=8)
-        assert cat.first_query() == 0
+        assert cat.next_query(None) == 0
 
     def test_window_preconditions(self):
         # The choice ranges over main branches 1..t only, so it fails exactly
