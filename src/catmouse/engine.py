@@ -1,7 +1,9 @@
 """Game engine: turn order, feedback bits, exact belief tracking, transcripts.
 
 Time is 1-based.  A step consists of the cat querying a vertex c_i, then
-the mouse moving with c_i in view.  At the end of step i >= 2 the bit b_i is
+the mouse moving with c_i in view; its move at step 1 places it on any
+vertex, and each later move stays in the closed neighborhood of the last
+one.  At the end of step i >= 2 the bit b_i is
 computed; it is delivered to the cat with its next query (so the cat's first
 two queries are made with no information).  c_i depends only on b_2..b_{i-1},
 and the mouse knows the cat's strategy, so showing it c_i plays the same
@@ -111,16 +113,15 @@ class CatStrategy(ABC):
 class MouseStrategy(ABC):
     """Mouse decision interface.
 
-    The mouse sees everything: the graph, the full history so far including
-    this step's query (`view.c[view.step]` is c_i), and a simulatable copy
-    of the cat (via GameView.clone_cat).  Every returned move must be the
-    current vertex or one of its neighbors.
+    `next_move` is the mouse's one method: the call at `view.step` i returns
+    m_i.  The mouse sees everything: the graph, the full history so far
+    including this step's query (`view.c[view.step]` is c_i), and a
+    simulatable copy of the cat (via GameView.clone_cat).  At step 1 the
+    move is the placement and may be any vertex; after that its position is
+    `view.m[-1]`, and every move must be that vertex or one of its neighbors.
     """
 
     spec = "mouse"
-
-    @abstractmethod
-    def first_position(self, view: "GameView") -> int: ...
 
     @abstractmethod
     def next_move(self, view: "GameView") -> int: ...
@@ -129,7 +130,8 @@ class MouseStrategy(ABC):
 class GameView:
     """What the mouse is allowed to look at while deciding its move at step
     i = `step`: the queries c_1..c_i, its own moves m_1..m_{i-1} and the bits
-    b_2..b_{i-1}, all 1-based."""
+    b_2..b_{i-1}, all 1-based, so `len(m) == step` and `m[-1]` is the mouse's
+    position (the None sentinel at step 1, before its placement)."""
 
     __slots__ = ("graph", "oracle", "step", "c", "m", "b", "_cat")
 
@@ -212,9 +214,10 @@ def run_game(
     """Run one game for `horizon` steps and record the transcript.
 
     Each step, step 1 included, is one pass of the loop: the cat's
-    `next_query(b[i - 1])` comes first; the mouse then moves with c_i in
-    `view.c[i]` (by `first_position` at step 1, `next_move` after) and may
-    simulate the cat through the view.  With
+    `next_query(b[i - 1])` comes first; the mouse's `next_move(view)` then
+    moves with c_i in `view.c[i]` and may simulate the cat through the view.
+    The move is checked against the range at step 1 and against the closed
+    neighborhood after.  With
     track_belief the exact belief mask is recorded per step (M_1 = V);
     track_radius (default: same as track_belief) additionally records
     rad_G(M_i) and its center by `mask_radius`, and requires track_belief.
@@ -245,19 +248,17 @@ def run_game(
         if not (0 <= ci < g.n):
             raise RuleViolationError(f"step {i}: cat query {ci} out of range")
         c.append(ci)
+        mi = mouse.next_move(view)
+        prev_m = m[i - 1]
         if i == 1:
-            mi = mouse.first_position(view)
             if not (0 <= mi < g.n):
                 raise RuleViolationError(f"step 1: mouse start {mi} out of range")
-            m.append(mi)
-        else:
-            mi = mouse.next_move(view)
-            prev_m = m[i - 1]
-            if mi != prev_m and mi not in g.adjacency[prev_m]:
-                raise RuleViolationError(
-                    f"step {i}: mouse moved {prev_m} -> {mi}, not in closed neighborhood"
-                )
-            m.append(mi)
+        elif mi != prev_m and mi not in g.adjacency[prev_m]:
+            raise RuleViolationError(
+                f"step {i}: mouse moved {prev_m} -> {mi}, not in closed neighborhood"
+            )
+        m.append(mi)
+        if i >= 2:
             bit = feedback_bit(
                 oracle.distance(c[i - 1], prev_m), oracle.distance(ci, mi)
             )

@@ -109,6 +109,14 @@ def _free_branch(spider: SpiderSpec, queries, taken=(), *, step: int = 1) -> int
     )
 
 
+def _evader_t(t: int) -> int:
+    """t itself when the spider evader can play with it (t >= 12 and 12 | t,
+    so every stage length is an integer); a GraphError otherwise."""
+    if t < 12 or t % 12 != 0:
+        raise GraphError(f"spider evader needs t >= 12 divisible by 12, got {t}")
+    return t
+
+
 class SpiderMouse(MouseStrategy):
     """Six-stage adversarial evader for spider trees with parameter t.
 
@@ -122,9 +130,7 @@ class SpiderMouse(MouseStrategy):
     """
 
     def __init__(self, t: int) -> None:
-        if t < 12 or t % 12 != 0:
-            raise GraphError(f"spider evader needs t >= 12 divisible by 12, got {t}")
-        self.t = t
+        self.t = _evader_t(t)
         self.spec = f"spider:t={t}"
         self.spider: SpiderSpec | None = None
         self.plan: DepthPlan | None = None
@@ -133,30 +139,24 @@ class SpiderMouse(MouseStrategy):
         self.shadow_trace: list[int | None] = [None]
         self.stage_events: list[tuple[int, str]] = []
 
-    def _require_spider(self, g) -> None:
-        t = self.t
-        extra = g.n - t * t - 1
-        if extra < 0 or gen_spider(SpiderSpec(t, extra)) != g:
-            raise GraphError(f"game graph is not a spider with parameter t={t}")
-        self.spider = SpiderSpec(t, extra)
-
-    def first_position(self, view: GameView) -> int:
-        self._require_spider(view.graph)
-        t = self.t
-        self.plan = DepthPlan(t)
-        queries = _simulate_queries(
-            self.spider, view.clone_cat(), DepthPlan(t), view.c[1], 2 * t // 3
-        )
-        self.m_branch = _free_branch(self.spider, queries)
-        self.w_branch = _free_branch(self.spider, queries, (self.m_branch,))
-        self.plan.advance(self.spider.depth_of(view.c[1]))  # the placement step
-        self.stage_events.append((1, "cycle_start"))
-        self.shadow_trace.append(self.spider.vertex_at(self.w_branch, self.plan.w_depth))
-        return self.spider.vertex_at(self.m_branch, self.plan.m_depth)
-
     def next_move(self, view: GameView) -> int:
         i = view.step
         t = self.t
+        if i == 1:
+            # Placement: check the graph, then put the evader and its shadow
+            # on two branches the cat leaves alone for the first 2t/3 steps.
+            g = view.graph
+            extra = g.n - t * t - 1
+            if extra < 0 or gen_spider(SpiderSpec(t, extra)) != g:
+                raise GraphError(f"game graph is not a spider with parameter t={t}")
+            self.spider = SpiderSpec(t, extra)
+            self.plan = DepthPlan(t)
+            queries = _simulate_queries(
+                self.spider, view.clone_cat(), DepthPlan(t), view.c[1], 2 * t // 3
+            )
+            self.m_branch = _free_branch(self.spider, queries)
+            self.w_branch = _free_branch(self.spider, queries, (self.m_branch,))
+            self.stage_events.append((1, "cycle_start"))
         plan = self.plan
         if plan.stage == DepthPlan.S5_RUN_OUT and plan.m_depth == 0:
             # Leaving the center: pick a branch the cat will not query for
@@ -187,64 +187,53 @@ class SpiderMouse(MouseStrategy):
 
 
 class StationaryMouse(MouseStrategy):
-    """Sits on a seed-derived vertex forever."""
+    """Sits on vertex seed mod n forever."""
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
         self.spec = f"stationary:seed={seed}"
-        self.pos = 0
-
-    def first_position(self, view: GameView) -> int:
-        self.pos = self.seed % view.graph.n
-        return self.pos
 
     def next_move(self, view: GameView) -> int:
-        return self.pos
+        return self.seed % view.graph.n
 
 
 class RandomWalkMouse(MouseStrategy):
-    """Uniform seeded move over the closed neighborhood each step."""
+    """Starts on a seeded uniform vertex, then makes a seeded uniform move
+    over the closed neighborhood each step."""
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
         self.spec = f"rw:seed={seed}"
         self.rng = random.Random(seed)
-        self.pos = 0
-
-    def first_position(self, view: GameView) -> int:
-        self.pos = self.rng.randrange(view.graph.n)
-        return self.pos
 
     def next_move(self, view: GameView) -> int:
-        candidates = (self.pos, *view.graph.adjacency[self.pos])
-        self.pos = candidates[self.rng.randrange(len(candidates))]
-        return self.pos
+        if view.step == 1:
+            return self.rng.randrange(view.graph.n)
+        pos = view.m[-1]
+        candidates = (pos, *view.graph.adjacency[pos])
+        return candidates[self.rng.randrange(len(candidates))]
 
 
 class GreedyAwayMouse(MouseStrategy):
-    """Moves to the closed-neighborhood vertex farthest from the cat's query
-    of the step before, c_{i-1} (not c_i, though the view holds it), lowest
-    id on ties."""
+    """Starts on vertex seed mod n, then moves to the closed-neighborhood
+    vertex farthest from the cat's query of the step before, c_{i-1} (not
+    c_i, though the view holds it), lowest id on ties."""
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
         self.spec = f"greedy:seed={seed}"
-        self.pos = 0
-
-    def first_position(self, view: GameView) -> int:
-        self.pos = self.seed % view.graph.n
-        return self.pos
 
     def next_move(self, view: GameView) -> int:
-        last_query = view.c[view.step - 1]
-        row = view.oracle.row(last_query)
-        best = self.pos
-        best_d = int(row[self.pos])
-        for v in view.graph.adjacency[self.pos]:
+        if view.step == 1:
+            return self.seed % view.graph.n
+        pos = view.m[-1]
+        row = view.oracle.row(view.c[view.step - 1])
+        best = pos
+        best_d = int(row[pos])
+        for v in view.graph.adjacency[pos]:
             dv = int(row[v])
             if dv > best_d or (dv == best_d and v < best):
                 best, best_d = v, dv
-        self.pos = best
         return best
 
 
@@ -256,9 +245,6 @@ class ScriptedMouse(MouseStrategy):
         if not self.path:
             raise GraphError("scripted mouse needs a non-empty trajectory")
         self.spec = "scripted"
-
-    def first_position(self, view: GameView) -> int:
-        return self.path[0]
 
     def next_move(self, view: GameView) -> int:
         idx = min(view.step - 1, len(self.path) - 1)
@@ -273,8 +259,9 @@ def parse_mouse_spec(spec: str, default_seed: int = 0) -> MouseStrategy:
     `default_seed`.
     """
     seed = {"seed": (read_int, default_seed)}
+    spider = {"t": (lambda text: _evader_t(read_int(text)), None)}
     kind, values = read_spec(
-        spec, {"spider": {"t": (read_int, None)}, "stationary": seed, "rw": seed, "greedy": seed}
+        spec, {"spider": spider, "stationary": seed, "rw": seed, "greedy": seed}
     )
     return {
         "spider": SpiderMouse,

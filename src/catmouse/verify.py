@@ -119,6 +119,11 @@ def _pair_roster(count: int):
     return out
 
 
+def _seeded_mouse(s: int):
+    """Mouse s of criteria 2(b) and 3: rw, greedy, stationary in turn, seed s."""
+    return parse_mouse_spec(("rw", "greedy", "stationary")[s % 3] + f":seed={s}")
+
+
 # ---------------------------------------------------------------------------
 # Criterion 1: engine belief DP == brute-force reachability, set for set.
 
@@ -219,9 +224,7 @@ def check_fat_bound(quick: bool = False) -> tuple[bool, str]:
             return False, f"{spec}: separation {separation} degenerates to one ball"
         bound = 4 * L + k
         for s in range(n_mice):
-            mouse = parse_mouse_spec(
-                ("rw:seed={s}", "greedy:seed={s}", "stationary:seed={s}")[s % 3].format(s=s)
-            )
+            mouse = _seeded_mouse(s)
             cat = BallCoverCat(oracle, cover)
             tr = run_game(
                 g, cat, mouse, 2 * L,
@@ -310,9 +313,7 @@ def check_thin_bound(quick: bool = False) -> tuple[bool, str]:
         D = oracle.diameter()
         horizon = 2 * ((D + 1) // 2) + 2 * K + 8
         for s in range(n_mice):
-            mouse = parse_mouse_spec(
-                ("rw:seed={s}", "greedy:seed={s}", "stationary:seed={s}")[s % 3].format(s=s)
-            )
+            mouse = _seeded_mouse(s)
             cat = SphereWalkCat(oracle, K)
             tr = run_game(g, cat, mouse, horizon, oracle=oracle)
             err = _thin_phase_checks(oracle, cat, tr, bound)

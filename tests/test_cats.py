@@ -16,7 +16,13 @@ from catmouse.cats import (
     parse_cat_spec,
     sqrt_cat,
 )
-from catmouse.engine import CatStrategy, localization_report, mask_radius, run_game
+from catmouse.engine import (
+    CatStrategy,
+    MouseStrategy,
+    localization_report,
+    mask_radius,
+    run_game,
+)
 from catmouse.graphs import (
     BallCover,
     DistanceOracle,
@@ -31,6 +37,12 @@ from catmouse.graphs import (
 )
 from catmouse.mice import RandomWalkMouse, StationaryMouse
 from catmouse.solver import exhaustive_game_value
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
 
 
 def drive_with_bits(cat, bits):
@@ -352,15 +364,16 @@ class TestBitHistoryDeterminism:
     def test_no_strategy_overrides_clone(self):
         # perfbench counts clones by wrapping CatStrategy.clone alone, and
         # labels every live query through next_query, the one query method.
-        def subclasses(cls):
-            for sub in cls.__subclasses__():
-                yield sub
-                yield from subclasses(sub)
-
-        found = list(subclasses(CatStrategy))
+        found = list(_subclasses(CatStrategy))
         assert {"BallCoverCat", "SphereWalkCat", "SolverCat"} <= {c.__name__ for c in found}
         assert [c.__name__ for c in found if "clone" in vars(c)] == []
         assert [c.__name__ for c in found if "first_query" in vars(c)] == []
+
+    def test_no_mouse_defines_first_position(self):
+        # next_move is a mouse's one method; step 1 is its placement.
+        found = [c for c in _subclasses(MouseStrategy) if c.__module__.startswith("catmouse.")]
+        assert {"SpiderMouse", "StationaryMouse", "ScriptedMouse"} <= {c.__name__ for c in found}
+        assert [c.__name__ for c in found if "first_position" in vars(c)] == []
 
 
 class TestFactories:

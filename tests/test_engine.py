@@ -12,6 +12,7 @@ from catmouse.cats import ScriptedCat, SeededRandomCat, StayCat, SweepCat
 from catmouse.engine import (
     BeliefKernel,
     GameError,
+    MouseStrategy,
     RuleViolationError,
     _bool_from_mask,
     _mask_from_bool,
@@ -324,11 +325,9 @@ class TestRunGame:
 
     def test_mouse_sees_this_steps_query(self):
         class RecordingMouse(RandomWalkMouse):
-            def first_position(self, view):
-                self.seen = [None, view.c[view.step]]
-                return super().first_position(view)
-
             def next_move(self, view):
+                if view.step == 1:
+                    self.seen = [None]
                 self.seen.append(view.c[view.step])
                 return super().next_move(view)
 
@@ -355,6 +354,28 @@ class TestRunGame:
         tr = run_game(g, cat, RandomWalkMouse(4), h, oracle=DistanceOracle(g))
         assert len(cat.seen) == h
         assert cat.seen == tr.b[:h]
+
+    @pytest.mark.parametrize("h", [1, 2, 12])
+    def test_mouse_gets_one_next_move_call_per_step(self, h):
+        # next_move is a mouse's one method: the call at step 1 places it,
+        # and the call for m_i sees m_1..m_{i-1}.  A leftover
+        # first_position is never called.
+        class RecordingMouse(MouseStrategy):
+            def __init__(self):
+                self.seen = []
+
+            def first_position(self, view):
+                raise AssertionError("first_position called")
+
+            def next_move(self, view):
+                self.seen = self.seen + [(view.step, len(view.m))]
+                return 2 if view.step == 1 else view.m[-1]
+
+        g = gen_path(5)
+        mouse = RecordingMouse()
+        tr = run_game(g, StayCat(g), mouse, h, oracle=DistanceOracle(g))
+        assert mouse.seen == [(i, i) for i in range(1, h + 1)]
+        assert tr.m == [None] + [2] * h
 
     def test_mouse_always_in_belief(self):
         g = gen_grid(3, 4)
@@ -433,7 +454,7 @@ class TestRunGame:
                 sim = view.clone_cat()
                 for _ in range(4):
                     sim.next_query(1)
-                return self.pos
+                return super().next_move(view)
 
         tr1 = run_game(g, SweepCat(g), PeekingMouse(3), 6, oracle=DistanceOracle(g))
         tr2 = run_game(g, SweepCat(g), StationaryMouse(3), 6, oracle=DistanceOracle(g))

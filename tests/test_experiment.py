@@ -388,6 +388,11 @@ USAGE_ERRORS = [
         ("cat rand:seed=1,seed=2", _simulate(cat="rand:seed=1,seed=2"), "'seed'"),
         ("mouse rw:seed=q", _simulate(mouse="rw:seed=q"), "'seed'"),
         ("mouse spider:t=x", _simulate(mouse="spider:t=x"), "'t'"),
+        (
+            "mouse spider:t=6",
+            _simulate(mouse="spider:t=6"),
+            "spec 'spider:t=6': bad value '6' for field 't'",
+        ),
         ("mouse greedy:seed=1,extra=2", _simulate(mouse="greedy:seed=1,extra=2"), "'extra'"),
         ("cat sqrt:x=1", _simulate(cat="sqrt:x=1"), "'x'"),
         ("cat stay:K=1", _simulate(cat="stay:K=1"), "'K'"),

@@ -460,6 +460,9 @@ class TestParseMouseSpec:
             ("rw:seed=1_0", "'seed'"),
             ("spider:t=+12", "'t'"),
             ("spider:t=\u0661\u0662", "'t'"),
+            ("spider:t=0", "bad value '0' for field 't'"),
+            ("spider:t=6", "bad value '6' for field 't'"),
+            ("spider:t=13", "bad value '13' for field 't'"),
             ("telepath", r"unknown kind 'telepath' \(allowed: spider, stationary, rw, greedy\)"),
         ):
             with pytest.raises(GraphError, match=field):
