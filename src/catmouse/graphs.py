@@ -4,7 +4,10 @@ Vertices are always the integers 0..n-1.  All graphs are simple, undirected
 and connected; the constructor enforces this so every other module can rely
 on it.  Distances come from a caching BFS oracle; a caller may also have it
 build the full all-pairs matrix, for graphs small enough to afford n BFS runs.
-A function that reads distances takes the oracle, whose `graph` is the graph.
+The oracle's set-up tables read fewer rows: the thin-level table grows every
+ball at once as a bitset and reads none, and the diameter prunes by
+eccentricity bounds.  A function that reads distances takes the oracle,
+whose `graph` is the graph.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ import random
 import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 
 import numpy as np
 
@@ -137,12 +141,13 @@ def bfs_distances(g: Graph, source: int) -> np.ndarray:
 class DistanceOracle:
     """Caching distance oracle over a fixed graph.
 
-    Single-source rows are cached with an LRU budget.  The full all-pairs
-    matrix is optional: nothing in the package needs it, but a caller may
-    build it (lazily, by `full_matrix`, for graphs of at most
+    Single-source rows are BFS runs cached with an LRU budget.  The full
+    all-pairs matrix is optional: nothing in the package needs it, but a
+    caller may build it (lazily, by `full_matrix`, for graphs of at most
     `full_matrix_threshold` vertices), and rows are then served as views into
     it.  Cache fills are lock-protected so concurrent readers always observe
-    correct distances.
+    correct distances.  The cached whole-graph tables cost less than n rows:
+    `thin_levels` reads no row, and `diameter` reads a few on most graphs.
     """
 
     full_matrix_threshold = 4096
@@ -215,10 +220,35 @@ class DistanceOracle:
         return int(self.row(v).max())
 
     def diameter(self) -> int:
+        """Largest eccentricity, cached.  Bounding diameters (Takes & Kosters
+        2013) over oracle rows: an evaluated vertex w, with e = ecc(w) and
+        d = d(w, v), bounds every ecc(v) by lb(v) = max(d, e - d) from below
+        and ub(v) = e + d from above.  Vertices are evaluated in turn, the
+        live one with the least lb, then the one with the greatest ub (lowest
+        id on ties), and every vertex whose ub is at most the best
+        eccentricity so far is dropped, until none is left.  The result is
+        exact for any choice order; this one reads 2 to 5 rows on paths,
+        grids and spiders, and n on a cycle, where every vertex is
+        peripheral."""
         if self._diameter is None:
-            self._diameter = max(
-                self.eccentricity(v) for v in range(self.graph.n)
-            )
+            n = self.graph.n
+            lb = np.zeros(n, dtype=np.int32)
+            ub = np.full(n, 2 * n, dtype=np.int32)  # above every e + d
+            live = np.ones(n, dtype=bool)
+            best, low = 0, True
+            while live.any():
+                if low:
+                    v = int(np.where(live, lb, n).argmin())
+                else:
+                    v = int(np.where(live, ub, -1).argmax())
+                low = not low
+                row = self.row(v)
+                e = int(row.max())
+                best = max(best, e)
+                np.maximum(lb, np.maximum(row, e - row), out=lb)
+                np.minimum(ub, e + row, out=ub)
+                live &= ub > best
+            self._diameter = best
         return self._diameter
 
     def set_radius(self, members: np.ndarray) -> tuple[int, int]:
@@ -276,18 +306,36 @@ class DistanceOracle:
         level of v is the smallest l >= 1 whose sphere around v has fewer
         than l/4 vertices, by the exact test 4*|sphere| < l.  One table of
         levels without a cap is built once and masked by K; every vertex has
-        a level at most ecc(v) + 1, where the sphere is empty."""
+        a level at most ecc(v) + 1, where the sphere is empty.
+
+        The table reads no BFS row: every vertex's ball grows at once, as a
+        Python-int bitset.  B_0[v] = {v}, B_l[v] is the union of B_{l-1}[u]
+        over u in N[v], and |S_l(v)| = |B_l[v]| - |B_{l-1}[v]|.  A level
+        costs n + 2m ORs of n-bit ints, the sweep stops at the largest thin
+        level, and the two live lists of balls take about n^2/4 bytes."""
         if K < 1:
             raise GraphError(f"K must be >= 1, got {K}")
         if self._thin_table is None:
             n = self.graph.n
+            closed = [(v, *nbrs) for v, nbrs in enumerate(self.graph.adjacency)]
+            balls = [1 << v for v in range(n)]
+            sizes = [1] * n
             table = np.empty(n, dtype=np.int32)
-            levels = np.arange(1, n + 1)
-            for v in range(n):
-                counts = np.bincount(self.row(v))[1:]  # sphere sizes, levels 1..ecc
-                ok = 4 * counts < levels[: counts.size]
-                table[v] = ok.argmax() + 1 if ok.any() else counts.size + 1
-                del counts, ok  # before the next BFS row: a live one fragments the heap
+            pending = range(n)
+            level = 0
+            while pending:
+                level += 1
+                get = balls.__getitem__
+                balls = [reduce(or_, map(get, nbrs)) for nbrs in closed]
+                left = []
+                for v in pending:
+                    size = balls[v].bit_count()
+                    if 4 * (size - sizes[v]) < level:
+                        table[v] = level
+                    else:
+                        sizes[v] = size
+                        left.append(v)
+                pending = left
             self._thin_table = table
         out = np.where(self._thin_table < K, self._thin_table, -1)
         out.flags.writeable = False
@@ -539,15 +587,23 @@ def read_spec(spec: str, kinds: dict) -> tuple[str, dict]:
 
 def _grid_shape(text: str) -> tuple[int, int]:
     rows, cols = text.split("x")  # ValueError unless exactly one 'x'
-    return read_int(rows), read_int(cols)
+    rows, cols = read_int(rows, 1), read_int(cols, 1)
+    if rows * cols < 2:
+        raise ValueError(f"grid needs n >= 2, got {rows}x{cols}")
+    return rows, cols
 
 
+# The floors repeat the generators' own checks, which stay for callers in
+# code; here they let `read_spec` name the spec and the field.
 GRAPH_KINDS = {
-    "path": {"n": (read_int, None)},
-    "cycle": {"n": (read_int, None)},
+    "path": {"n": (lambda text: read_int(text, 2), None)},
+    "cycle": {"n": (lambda text: read_int(text, 3), None)},
     "grid": {"shape": (_grid_shape, None)},
-    "rt": {"n": (read_int, None), "seed": (read_int, 0)},
-    "spider": {"t": (read_int, None), "extra": (read_int, 0)},
+    "rt": {"n": (lambda text: read_int(text, 2), None), "seed": (read_int, 0)},
+    "spider": {
+        "t": (lambda text: read_int(text, 1), None),
+        "extra": (lambda text: read_int(text, 0), 0),
+    },
     "file": {"path": (str, None)},  # parse_graph_spec reads PATH verbatim
 }
 

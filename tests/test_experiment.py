@@ -438,6 +438,16 @@ USAGE_ERRORS = [
         ("gen path:n=1_0", ["gen", "--spec", "path:n=1_0"], "'n'"),
         ("gen spider:t=+12", ["gen", "--spec", "spider:t=+12"], "'t'"),
         ("gen grid:3 x3", ["gen", "--spec", "grid:3 x3"], "'shape'"),
+        (
+            "gen path:n=1",
+            ["gen", "--spec", "path:n=1"],
+            "error: spec 'path:n=1': bad value '1' for field 'n'",
+        ),
+        (
+            "gen grid:-1x4",
+            ["gen", "--spec", "grid:-1x4"],
+            "error: spec 'grid:-1x4': bad value '-1x4' for field 'shape'",
+        ),
         ("mouse spider:t=Arabic-Indic 12", _simulate(mouse="spider:t=\u0661\u0662"), "'t'"),
         (
             "config seeds 1_0, +2",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catmouse import graphs
 from catmouse.engine import mask_radius
 from catmouse.graphs import (
     BallCover,
@@ -360,6 +361,13 @@ class TestGenerators:
             ("spider:extra=1", "'t'"),
             ("rt:n=30,seed=2,", "''"),
             ("cycle:n=10,n=11", "'n'"),
+            ("path:n=1", "bad value '1' for field 'n'"),
+            ("cycle:n=2", "bad value '2' for field 'n'"),
+            ("rt:n=1", "bad value '1' for field 'n'"),
+            ("spider:t=0", "bad value '0' for field 't'"),
+            ("spider:t=2,extra=-1", "bad value '-1' for field 'extra'"),
+            ("grid:0x5", "bad value '0x5' for field 'shape'"),
+            ("grid:1x1", "bad value '1x1' for field 'shape'"),
         ):
             with pytest.raises(GraphError, match=field):
                 parse_graph_spec(bad)
@@ -487,11 +495,27 @@ def test_thin_level_exists_for_random_trees(n, seed):
     assert (DistanceOracle(g).thin_levels(K) >= 0).all()
 
 
-@settings(max_examples=30, deadline=None)
-@given(n=st.integers(min_value=2, max_value=80), seed=st.integers(0, 2**20))
-def test_thin_levels_table_matches_thin_level(n, seed):
-    g = gen_random_tree(n, seed)
+@st.composite
+def connected_graphs(draw):
+    """A random tree, a tree with chords, a cycle or a grid."""
+    kind = draw(st.sampled_from(("tree", "chords", "cycle", "grid")))
+    if kind in ("tree", "chords"):
+        g = gen_random_tree(draw(st.integers(2, 80)), draw(st.integers(0, 2**20)))
+        if kind == "chords":
+            pairs = st.tuples(st.integers(0, g.n - 1), st.integers(0, g.n - 1))
+            extra = {(min(p), max(p)) for p in draw(st.lists(pairs, max_size=20)) if p[0] != p[1]}
+            g = Graph(g.n, sorted(set(g.edges()) | extra))
+        return g
+    if kind == "cycle":
+        return gen_cycle(draw(st.integers(3, 120)))
+    return gen_grid(draw(st.integers(1, 8)), draw(st.integers(2, 8)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=connected_graphs())
+def test_thin_levels_table_matches_thin_level(g):
     oracle = DistanceOracle(g)
+    n = g.n
     for K in (1, 2, ceil_sqrt(9 * n), n + 2):
         table = oracle.thin_levels(K)
         assert not table.flags.writeable
@@ -499,6 +523,30 @@ def test_thin_levels_table_matches_thin_level(n, seed):
         assert got == [thin_level(oracle, v, K) for v in range(n)]
     with pytest.raises(GraphError, match="K must be >= 1"):
         oracle.thin_levels(0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=connected_graphs())
+def test_diameter_matches_floyd_warshall(g):
+    assert DistanceOracle(g).diameter() == int(floyd_warshall(g).max())
+
+
+@pytest.mark.parametrize(
+    "spec, diameter, rows",
+    [("path:n=2000", 1999, 3), ("grid:45x45", 88, 4), ("spider:t=24,extra=0", 48, 2)],
+)
+def test_set_up_tables_compute_pinned_bfs_row_counts(spec, diameter, rows, monkeypatch):
+    """The thin table computes no BFS row and the diameter a pinned few, so
+    a return to a row per vertex fails here exactly."""
+    g, _ = parse_graph_spec(spec)
+    computed = []
+    bfs = graphs.bfs_distances
+    monkeypatch.setattr(graphs, "bfs_distances", lambda h, v: computed.append(v) or bfs(h, v))
+    oracle = DistanceOracle(g)
+    oracle.thin_levels(g.n + 2)
+    assert computed == []
+    assert oracle.diameter() == diameter
+    assert len(computed) == rows
 
 
 @settings(max_examples=25, deadline=None)
