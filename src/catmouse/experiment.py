@@ -1,4 +1,5 @@
-"""Experiment harness: configs, bound resolution, reports, artifacts.
+"""Experiment harness: configs, bound resolution, `play` (the one loop that
+plays a batch of games), reports, artifacts.
 
 A config names a graph, a cat, a mouse, a horizon, seeds, and a bound to
 check.  Bounds may be explicit integers or formula tags that resolve to
@@ -264,13 +265,37 @@ class Report:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
+def play(cfg: ExperimentConfig, *, track_belief: bool = True, track_radius: bool = True):
+    """Play `cfg`'s games, one per seed and repetition, yielding (seed,
+    repetition, cat, mouse, transcript).  Cat and mouse are built afresh per
+    game; a spec without a seed gets one derived from the row's seed.  A game
+    that raises `GameError` or `GraphError` yields the exception in the
+    transcript's place.  The tracking flags go to `run_game` as given."""
+    g, oracle, graph_spec = corpus_graph(cfg.graph)
+    for seed in cfg.seeds:
+        for rep in range(cfg.repetitions):
+            row_seed = derive_seed(seed, "rep", rep) if cfg.repetitions > 1 else seed
+            cat = parse_cat_spec(cfg.cat, g, oracle, default_seed=derive_seed(row_seed, "cat"))
+            mouse = parse_mouse_spec(cfg.mouse, default_seed=derive_seed(row_seed, "mouse"))
+            try:
+                tr = run_game(
+                    g, cat, mouse, cfg.horizon, track_belief=track_belief,
+                    track_radius=track_radius, oracle=oracle, graph_spec=graph_spec,
+                    meta={"cat": cat.spec, "mouse": mouse.spec, "seed": row_seed},
+                )
+            except (GameError, GraphError) as exc:
+                tr = exc
+            yield seed, rep, cat, mouse, tr
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Report:
-    """Run repetitions x seeds games and aggregate pass/fail rows.
+    """Check the config, resolve its bounds and make one pass/fail row of
+    each game `play` yields.
 
     Upper bounds pass when localization to the resolved distance happens by
     the resolved time; lower bounds pass when NO step within the horizon
-    localizes to the resolved distance.  Rule violations at runtime fail the
-    row instead of aborting the experiment.
+    localizes to the resolved distance.  A game that raises fails its row,
+    with the exception as the row's note.
     """
     if not cfg.seeds:
         raise GraphError("experiment needs a non-empty seeds list")
@@ -284,60 +309,34 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Report:
         raise GraphError(f"experiment bound_t must be >= 1, got {cfg.bound_t}")
     if cfg.bound_kind not in ("upper", "lower"):
         raise GraphError(f"experiment bound_kind must be 'upper' or 'lower', got {cfg.bound_kind!r}")
-    g, oracle, graph_spec = corpus_graph(cfg.graph)
+    g, oracle, _ = corpus_graph(cfg.graph)
     probe_cat = parse_cat_spec(cfg.cat, g, oracle, default_seed=0)
     bound_d = resolve_bound(cfg.bound_d, g, probe_cat, cfg)
     bound_t = resolve_bound(cfg.bound_t, g, probe_cat, cfg)
     report = Report(
-        config=cfg,
-        config_hash=cfg.config_hash(),
-        bound_d=bound_d,
-        bound_t=bound_t,
+        config=cfg, config_hash=cfg.config_hash(), bound_d=bound_d, bound_t=bound_t,
         note=LOWER_BOUND_NOTE if cfg.bound_kind == "lower" else "",
     )
     transcripts = []
-    for seed in cfg.seeds:
-        for rep in range(cfg.repetitions):
-            row_seed = derive_seed(seed, "rep", rep) if cfg.repetitions > 1 else seed
-            cat = parse_cat_spec(cfg.cat, g, oracle, default_seed=derive_seed(row_seed, "cat"))
-            mouse = parse_mouse_spec(cfg.mouse, default_seed=derive_seed(row_seed, "mouse"))
-            try:
-                tr = run_game(
-                    g,
-                    cat,
-                    mouse,
-                    cfg.horizon,
-                    track_belief=True,
-                    oracle=oracle,
-                    graph_spec=graph_spec,
-                    meta={"cat": cat.spec, "mouse": mouse.spec, "seed": row_seed},
-                )
-            except (GameError, GraphError) as exc:
-                report.rows.append(
-                    RunRow(seed, rep, None, None, None, bound_d, bound_t, False, str(exc))
-                )
-                continue
-            loc = localization_report(tr, bound_d)
-            if cfg.bound_kind == "upper":
-                passed = loc.first_success_step is not None and (
-                    bound_t is None or loc.first_success_step <= bound_t
-                )
-            else:
-                passed = loc.first_success_step is None
+    for seed, rep, _, _, tr in play(cfg):
+        if isinstance(tr, Exception):
             report.rows.append(
-                RunRow(
-                    seed,
-                    rep,
-                    loc.first_success_step,
-                    loc.min_radius,
-                    loc.argmin_step,
-                    bound_d,
-                    bound_t,
-                    passed,
-                )
+                RunRow(seed, rep, None, None, None, bound_d, bound_t, False, str(tr))
             )
-            if cfg.save_transcripts:
-                transcripts.append((seed, rep, tr))
+            continue
+        loc = localization_report(tr, bound_d)
+        if cfg.bound_kind == "upper":
+            passed = loc.first_success_step is not None and (
+                bound_t is None or loc.first_success_step <= bound_t
+            )
+        else:
+            passed = loc.first_success_step is None
+        report.rows.append(RunRow(
+            seed, rep, loc.first_success_step, loc.min_radius, loc.argmin_step,
+            bound_d, bound_t, passed,
+        ))
+        if cfg.save_transcripts:
+            transcripts.append((seed, rep, tr))
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "report.csv"), "w", encoding="utf-8", newline="") as fh:

@@ -2,11 +2,11 @@
 
 Each criterion check returns (ok, detail).  The same functions back the
 pytest acceptance module, so the CLI and the test suite can never drift
-apart.  Criteria 4 and 6 are batches of experiment configs run by
-`run_experiment`; the others read strategy internals or the solver and run
-their own games.  Heavy graphs and their oracles come from
-`experiment.corpus_graph`, cached per spec string and shared across criteria
-and experiments within a process.
+apart.  Corpus games are experiment configs played by `experiment.play`,
+through `run_experiment` for criteria 4 and 6; criteria 1, 2(a) and 7 play
+small instances through `run_game`.  Corpus graphs and oracles come from
+`experiment.corpus_graph`, which `verify_suite` empties before each
+criterion, so a criterion's work does not depend on what ran before it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .cats import BallCoverCat, SphereWalkCat, parse_cat_spec
 from .engine import localization_report, run_game
-from .experiment import ExperimentConfig, corpus_graph, run_experiment
+from .experiment import ExperimentConfig, corpus_graph, play, run_experiment
 from .graphs import (
     BallCover,
     DistanceOracle,
@@ -119,9 +119,18 @@ def _pair_roster(count: int):
     return out
 
 
-def _seeded_mouse(s: int):
-    """Mouse s of criteria 2(b) and 3: rw, greedy, stationary in turn, seed s."""
-    return parse_mouse_spec(("rw", "greedy", "stationary")[s % 3] + f":seed={s}")
+def _seeded_mice(count: int) -> list[tuple[int, str]]:
+    """Mice of criteria 2(b) and 3: rw, greedy, stationary in turn, seed s."""
+    return [(s, ("rw", "greedy", "stationary")[s % 3] + f":seed={s}") for s in range(count)]
+
+
+def _games(graph: str, cat: str, horizon: int, mice, **track):
+    """Play `cat` against each (seed, mouse spec) of `mice`; yields
+    (`<graph> vs <mouse spec>`, cat, mouse, transcript or exception)."""
+    for seed, mouse in mice:
+        cfg = ExperimentConfig(graph=graph, cat=cat, mouse=mouse, horizon=horizon, seeds=(seed,))
+        for _, _, played_cat, played_mouse, tr in play(cfg, **track):
+            yield f"{graph} vs {mouse}", played_cat, played_mouse, tr
 
 
 # ---------------------------------------------------------------------------
@@ -210,26 +219,23 @@ def check_fat_bound(quick: bool = False) -> tuple[bool, str]:
             checked += 1
 
     # (b) randomized mice at scale, plus the belief-radius consequence
+    # c * sqrt(2000) rounds up to separations 127, 20 and 10
     corpus = (
-        ("path:n=2000", 127),
-        ("grid:40x50", 20),
-        ("rt:n=2000,seed=5", 10),
+        ("path:n=2000", "fat:c=2.83"),
+        ("grid:40x50", "fat:c=0.44"),
+        ("rt:n=2000,seed=5", "fat:c=0.22"),
     )
-    n_mice = 10 if quick else 100
-    for spec, separation in corpus:
+    mice = _seeded_mice(10 if quick else 100)
+    for spec, cat_spec in corpus:
         g, oracle, _ = corpus_graph(spec)
-        cover = scattered_cover(oracle, separation)
+        cover = parse_cat_spec(cat_spec, g, oracle).cover
         L, k = cover.count, cover.radius_k
         if L < 2:
-            return False, f"{spec}: separation {separation} degenerates to one ball"
+            return False, f"{spec}: {cat_spec} degenerates to one ball"
         bound = 4 * L + k
-        for s in range(n_mice):
-            mouse = _seeded_mouse(s)
-            cat = BallCoverCat(oracle, cover)
-            tr = run_game(
-                g, cat, mouse, 2 * L,
-                track_belief=True, track_radius=False, oracle=oracle,
-            )
+        for game, cat, mouse, tr in _games(spec, cat_spec, 2 * L, mice, track_radius=False):
+            if isinstance(tr, Exception):
+                return False, f"{game}: raised {type(tr).__name__}: {tr}"
             target = tr.m[2 * L - 1]
             champ = cat.champion_vertex
             if oracle.distance(champ, target) > bound:
@@ -304,7 +310,7 @@ def _thin_phase_checks(oracle: DistanceOracle, cat: SphereWalkCat, tr, bound: in
 
 def check_thin_bound(quick: bool = False) -> tuple[bool, str]:
     corpus = ("path:n=2000", "cycle:n=2000", "spider:t=44,extra=0")
-    n_mice = 10 if quick else 100
+    mice = _seeded_mice(10 if quick else 100)
     runs = 0
     for spec in corpus:
         g, oracle, _ = corpus_graph(spec)
@@ -312,13 +318,13 @@ def check_thin_bound(quick: bool = False) -> tuple[bool, str]:
         bound = (3 * K + 1) // 2
         D = oracle.diameter()
         horizon = 2 * ((D + 1) // 2) + 2 * K + 8
-        for s in range(n_mice):
-            mouse = _seeded_mouse(s)
-            cat = SphereWalkCat(oracle, K)
-            tr = run_game(g, cat, mouse, horizon, oracle=oracle)
+        games = _games(spec, f"thin:K={K}", horizon, mice, track_belief=False, track_radius=False)
+        for game, cat, _, tr in games:
+            if isinstance(tr, Exception):
+                return False, f"{game}: raised {type(tr).__name__}: {tr}"
             err = _thin_phase_checks(oracle, cat, tr, bound)
             if err:
-                return False, f"{spec} vs {mouse.spec}: {err}"
+                return False, f"{game}: {err}"
             runs += 1
     return True, f"{runs} runs satisfy the (3/2)K guarantee and per-phase inequalities"
 
@@ -392,33 +398,26 @@ def check_thin_time_reproduction(quick: bool = False) -> tuple[bool, str]:
         bound_d = (ceil_sqrt(81 * n) + 1) // 2
         D = oracle.diameter()
         horizon = min(n, max(4, D + 2))
-        for seed in seeds:
-            for mouse_spec in _mice_for(spec, seed):
-                cat = SphereWalkCat(oracle, K)
-                mouse = parse_mouse_spec(mouse_spec)
-                tr = run_game(
-                    g, cat, mouse, horizon,
-                    track_belief=True, track_radius=False, oracle=oracle,
-                )
-                # Each certificate is an anchor of the cat's own phase log:
-                # max over M_step of d(anchor, .) bounds rad(M_step) above.
-                certified = False
-                for pairs, anchor in cat.phase_log:
-                    if 4 * pairs < 2 * D - 3 * K:
-                        continue
-                    step = max(1, 2 * pairs - 1)
-                    if step > horizon:
-                        break
-                    witness = int(oracle.row(anchor)[tr.belief_members(step)].max())
-                    if witness <= bound_d:
-                        certified = True
-                        break
-                if not certified:
-                    return False, (
-                        f"{spec} vs {mouse_spec}: no certified step <= {n} with "
-                        f"radius <= {bound_d}"
-                    )
-                runs += 1
+        mice = [(seed, mouse) for seed in seeds for mouse in _mice_for(spec, seed)]
+        for game, cat, _, tr in _games(spec, f"thin:K={K}", horizon, mice, track_radius=False):
+            if isinstance(tr, Exception):
+                return False, f"{game}: raised {type(tr).__name__}: {tr}"
+            # Each certificate is an anchor of the cat's own phase log:
+            # max over M_step of d(anchor, .) bounds rad(M_step) above.
+            certified = False
+            for pairs, anchor in cat.phase_log:
+                if 4 * pairs < 2 * D - 3 * K:
+                    continue
+                step = max(1, 2 * pairs - 1)
+                if step > horizon:
+                    break
+                witness = int(oracle.row(anchor)[tr.belief_members(step)].max())
+                if witness <= bound_d:
+                    certified = True
+                    break
+            if not certified:
+                return False, f"{game}: no certified step <= {n} with radius <= {bound_d}"
+            runs += 1
     return True, f"{runs} runs localize to ceil(4.5*sqrt(n)) by time n"
 
 
@@ -633,6 +632,7 @@ def verify_suite(name: str, quick: bool = False) -> list[CriterionResult]:
     results = []
     for number in SUITES[name]:
         title, fn = CRITERIA[number]
+        corpus_graph.cache_clear()
         start = time.perf_counter()
         try:
             ok, detail = fn(quick=quick)
