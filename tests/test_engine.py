@@ -88,8 +88,10 @@ def members_of(arr) -> list[int]:
     return np.flatnonzero(arr).tolist()
 
 
-def kernel_for(g) -> BeliefKernel:
-    return BeliefKernel(DistanceOracle(g))
+def kernel_step(g, members, c_prev, c_cur, bit) -> np.ndarray:
+    """One `update_bool` on g's kernel, fed the rows of the two queries."""
+    oracle = DistanceOracle(g)
+    return BeliefKernel(oracle).update_bool(members, oracle.row(c_prev), oracle.row(c_cur), bit)
 
 
 class TestBeliefMask:
@@ -105,45 +107,47 @@ class TestBeliefMask:
 
 class TestBeliefUpdate:
     def test_p5_stay_keeps_everything_on_bit_one(self):
-        out = kernel_for(gen_path(5)).update_bool(np.ones(5, dtype=bool), 0, 0, 1)
+        out = kernel_step(gen_path(5), np.ones(5, dtype=bool), 0, 0, 1)
         assert members_of(out) == [0, 1, 2, 3, 4]
 
     def test_p5_bit_zero_drops_the_cat_vertex(self):
-        out = kernel_for(gen_path(5)).update_bool(np.ones(5, dtype=bool), 0, 0, 0)
+        out = kernel_step(gen_path(5), np.ones(5, dtype=bool), 0, 0, 0)
         assert members_of(out) == [1, 2, 3, 4]
 
     def test_true_position_survives(self):
         g = gen_grid(2, 3)
-        kernel = kernel_for(g)
         for u in range(g.n):
             prev = np.zeros(g.n, dtype=bool)
             prev[u] = True
             bit = feedback_bit(1, 1)  # stationary mouse, repeated query
-            assert kernel.update_bool(prev, 2, 2, bit)[u]
+            assert kernel_step(g, prev, 2, 2, bit)[u]
 
     def test_empty_update_raises(self):
         # The kernel returns the empty set; run_game is what raises on it.
         prev = np.array([True, False])
-        assert not kernel_for(gen_path(2)).update_bool(prev, 1, 1, 0).any()
+        assert not kernel_step(gen_path(2), prev, 1, 1, 0).any()
 
     def test_matches_trajectory_enumeration(self):
         g = gen_path(5)
-        kernel = kernel_for(g)
         for c0, c1, bit in itertools.product(range(5), range(5), (0, 1)):
             expected = beliefs_by_trajectory_enumeration(g, [c0, c1], [bit])[1]
-            got = set(members_of(kernel.update_bool(np.ones(5, dtype=bool), c0, c1, bit)))
+            got = set(members_of(kernel_step(g, np.ones(5, dtype=bool), c0, c1, bit)))
             assert got == expected, (c0, c1, bit)
 
 
 @st.composite
-def kernel_cases(draw):
+def kernel_graphs(draw):
     kind = draw(st.sampled_from(("tree", "cycle", "grid")))
     if kind == "tree":
-        g = gen_random_tree(draw(st.integers(2, 36)), draw(st.integers(0, 2**20)))
-    elif kind == "cycle":
-        g = gen_cycle(draw(st.integers(3, 36)))
-    else:
-        g = gen_grid(draw(st.integers(1, 6)), draw(st.integers(2, 6)))
+        return gen_random_tree(draw(st.integers(2, 36)), draw(st.integers(0, 2**20)))
+    if kind == "cycle":
+        return gen_cycle(draw(st.integers(3, 36)))
+    return gen_grid(draw(st.integers(1, 6)), draw(st.integers(2, 6)))
+
+
+@st.composite
+def kernel_cases(draw):
+    g = draw(kernel_graphs())
     members = draw(st.sets(st.integers(0, g.n - 1), min_size=1))
     c_prev = draw(st.integers(0, g.n - 1))
     c_cur = draw(st.integers(0, g.n - 1))
@@ -158,9 +162,83 @@ def test_kernel_matches_solver_on_arbitrary_beliefs(case):
     g, members, c_prev, c_cur, bit = case
     arr = np.zeros(g.n, dtype=bool)
     arr[list(members)] = True
-    got = kernel_for(g).update_bool(arr, c_prev, c_cur, bit)
+    got = kernel_step(g, arr, c_prev, c_cur, bit)
     expected = solver._step_sets(g, solver._DistCache(g), members, c_prev, c_cur, bit)
     assert set(members_of(got)) == set(expected)
+
+
+def full_csr_update(g, members, row_prev, row_cur, bit):
+    """The kernel step the sparse and mask-first steps replaced, kept as their
+    reference: gather both the rows and the mask over the whole closed CSR,
+    mask the gathered rows, then reduce over each N[v]."""
+    indptr, indices = g.closed_csr()
+    gathered = row_prev[indices]
+    member_at = members[indices]
+    if bit == 1:
+        vals = np.where(member_at, gathered, BeliefKernel._NONE_MAX)
+        return np.maximum.reduceat(vals, indptr[:-1]) >= row_cur
+    vals = np.where(member_at, gathered, BeliefKernel._NONE_MIN)
+    return np.minimum.reduceat(vals, indptr[:-1]) < row_cur
+
+
+@st.composite
+def gate_cases(draw):
+    g = draw(kernel_graphs())
+    third = -(-g.n // 3)
+    size = draw(st.sampled_from(("one", "third", "random")))
+    if size == "one":
+        k = 1
+    elif size == "third":
+        k = min(g.n, max(1, third + draw(st.sampled_from((-1, 0, 1)))))
+    else:
+        k = draw(st.integers(1, g.n))
+    members = np.zeros(g.n, dtype=bool)
+    members[draw(st.permutations(range(g.n)))[:k]] = True
+    c_prev = draw(st.integers(0, g.n - 1))
+    return g, members, c_prev, draw(st.integers(0, g.n - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=gate_cases())
+def test_sparse_and_dense_steps_match_full_csr_gather_and_solver(case):
+    """Each side of the kernel's gate, called directly whatever |M| is,
+    equals the full-CSR gather it replaced and the solver's set-based step,
+    for both bits, from one member, from about n/3 members and from a random
+    set."""
+    g, members, c_prev, c_cur = case
+    oracle = DistanceOracle(g)
+    kernel = BeliefKernel(oracle)
+    row_prev, row_cur = oracle.row(c_prev), oracle.row(c_cur)
+    believed = set(members_of(members))
+    for bit in (0, 1):
+        expected = full_csr_update(g, members, row_prev, row_cur, bit)
+        assert set(members_of(expected)) == set(
+            solver._step_sets(g, solver._DistCache(g), believed, c_prev, c_cur, bit)
+        )
+        for step in (kernel._sparse_step, kernel._dense_step):
+            got = step(members, row_prev, row_cur, bit)
+            assert got.dtype == bool
+            assert np.array_equal(got, expected), (step.__name__, bit)
+
+
+@pytest.mark.parametrize("n", [30, 31, 32])
+def test_update_bool_goes_sparse_below_a_third_of_n(n):
+    g = gen_path(n)
+    oracle = DistanceOracle(g)
+    kernel = BeliefKernel(oracle)
+    taken = []
+    for name in ("_sparse_step", "_dense_step"):
+        real = getattr(kernel, name)
+        setattr(kernel, name, lambda *args, real=real, name=name: taken.append(name) or real(*args))
+    third = -(-n // 3)
+    row_prev, row_cur = oracle.row(0), oracle.row(n - 1)
+    for size, side in ((third - 1, "_sparse_step"), (third, "_dense_step")):
+        members = np.zeros(n, dtype=bool)
+        members[:size] = True
+        taken.clear()
+        got = kernel.update_bool(members, row_prev, row_cur, 1)
+        assert taken == [side], size
+        assert np.array_equal(got, full_csr_update(g, members, row_prev, row_cur, 1))
 
 
 def column_gather_radius(oracle, members):
@@ -416,7 +494,9 @@ class TestRunGame:
         kernel = BeliefKernel(oracle)
         constrained = tr.belief_members(1) & side
         for i in range(2, 9):
-            constrained = kernel.update_bool(constrained, tr.c[i - 1], tr.c[i], tr.b[i])
+            constrained = kernel.update_bool(
+                constrained, oracle.row(tr.c[i - 1]), oracle.row(tr.c[i]), tr.b[i]
+            )
             constrained &= side
             assert not (constrained & ~tr.belief_members(i)).any()
 
