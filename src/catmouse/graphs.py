@@ -2,8 +2,8 @@
 
 Vertices are always the integers 0..n-1.  All graphs are simple, undirected
 and connected; the constructor enforces this so every other module can rely
-on it.  Distances come from a caching BFS oracle; a caller may also have it
-build the full all-pairs matrix, for graphs small enough to afford n BFS runs.
+on it.  Distances come from a BFS oracle that keeps its rows in one store
+under a byte budget; a caller may also have it build the all-pairs matrix.
 The oracle's set-up tables read fewer rows: the thin-level table grows every
 ball at once as a bitset and reads none, and the diameter prunes by
 eccentricity bounds.  A function that reads distances takes the oracle,
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 import threading
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import or_
@@ -141,22 +141,23 @@ def bfs_distances(g: Graph, source: int) -> np.ndarray:
 class DistanceOracle:
     """Caching distance oracle over a fixed graph.
 
-    Single-source rows are BFS runs cached with an LRU budget.  The full
-    all-pairs matrix is optional: nothing in the package needs it, but a
-    caller may build it (lazily, by `full_matrix`, for graphs of at most
-    `full_matrix_threshold` vertices), and rows are then served as views into
-    it.  Cache fills are lock-protected so concurrent readers always observe
-    correct distances.  The cached whole-graph tables cost less than n rows:
-    `thin_levels` reads no row, and `diameter` reads a few on most graphs.
+    Every row lives in one dict, bounded by `row_bytes`: a miss runs a BFS
+    and evicts the oldest rows while over budget; a hit changes nothing.
+    `full_matrix` (when n rows fit the budget) fills the dict with its row
+    views.  Fills, evictions and the matrix build take a lock and reads take
+    none, so concurrent readers always observe correct distances.  The
+    cached whole-graph tables cost less than n rows: `thin_levels` reads no
+    row, and `diameter` reads a few on most graphs.
     """
 
-    full_matrix_threshold = 4096
-    row_cache_size = 4096
+    # 64 MiB: every row of any graph up to n = 4096, and 838 rows of
+    # path:n=20000, where a cap of 4096 rows held 330 MB.
+    row_bytes = 4096 * 4096 * 4
     radius_eval_budget = 64
 
     def __init__(self, g: Graph) -> None:
         self.graph = g
-        self._rows: OrderedDict[int, np.ndarray] = OrderedDict()
+        self._rows: dict[int, np.ndarray] = {}  # insertion order is age
         self._matrix: np.ndarray | None = None
         self._diameter: int | None = None
         self._radius: tuple[int, int] | None = None
@@ -169,23 +170,17 @@ class DistanceOracle:
             raise GraphError(f"oracle is over {self.graph!r}, not the given {g!r}")
 
     def row(self, v: int) -> np.ndarray:
-        """Distance row from v (read-only)."""
+        """Distance row from v (read-only).  Only ids 0..n-1 are keys."""
+        cached = self._rows.get(v)
+        if cached is not None:
+            return cached
         if not (0 <= v < self.graph.n):
             raise GraphError(f"source {v} out of range for n={self.graph.n}")
-        mat = self._matrix
-        if mat is not None:
-            return mat[v]
-        with self._lock:
-            cached = self._rows.get(v)
-            if cached is not None:
-                self._rows.move_to_end(v)
-                return cached
         computed = bfs_distances(self.graph, v)
         with self._lock:
             self._rows[v] = computed
-            self._rows.move_to_end(v)
-            while len(self._rows) > self.row_cache_size:
-                self._rows.popitem(last=False)
+            while len(self._rows) * computed.nbytes > self.row_bytes:
+                del self._rows[next(iter(self._rows))]
         return computed
 
     def distance(self, u: int, v: int) -> int:
@@ -195,13 +190,14 @@ class DistanceOracle:
         return int(row[v])
 
     def full_matrix(self) -> np.ndarray:
-        """All-pairs distance matrix (read-only), n x n int32."""
+        """All-pairs distance matrix (read-only), n x n int32; its rows then
+        serve every `row` read."""
         if self._matrix is None:
             n = self.graph.n
-            if n > self.full_matrix_threshold:
+            if 4 * n * n > self.row_bytes:
                 raise GraphError(
-                    f"full matrix refused: n={n} exceeds threshold "
-                    f"{self.full_matrix_threshold}"
+                    f"full matrix refused: n={n} needs {4 * n * n} bytes, over "
+                    f"the threshold row_bytes={self.row_bytes}"
                 )
             with self._lock:
                 if self._matrix is None:
@@ -213,7 +209,7 @@ class DistanceOracle:
                         )
                     mat.flags.writeable = False
                     self._matrix = mat
-                    self._rows.clear()
+                    self._rows = dict(enumerate(mat))
         return self._matrix
 
     def eccentricity(self, v: int) -> int:
@@ -500,15 +496,18 @@ def gen_random_tree(n: int, seed: int) -> Graph:
     return Graph(n, [(rng.randrange(v), v) for v in range(1, n)])
 
 
-def read_int(text: str, low: int | None = None) -> int:
+def read_int(text: str, low: int | None = None, high: int | None = None) -> int:
     """The integer that `text` spells in ASCII digits after an optional '-'
-    (no '+', '_', space or other digit); ValueError otherwise or below `low`."""
+    (no '+', '_', space or other digit); ValueError otherwise, below `low` or
+    above `high`."""
     digits = text[1:] if text.startswith("-") else text
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"not an integer: {text!r}")
     value = int(text)
     if low is not None and value < low:
         raise ValueError(f"must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"must be <= {high}, got {value}")
     return value
 
 
@@ -585,21 +584,29 @@ def read_spec(spec: str, kinds: dict) -> tuple[str, dict]:
     return kind, values
 
 
+# The ceiling on a spec's vertices: path:n=1000000 builds in 2.9 s of CPU
+# and adds 434 MB of RSS, so a larger graph is a usage error, not a run out
+# of memory.  A file: graph is bounded by its file.
+MAX_VERTICES = 1_000_000
+
+
 def _grid_shape(text: str) -> tuple[int, int]:
     rows, cols = text.split("x")  # ValueError unless exactly one 'x'
     rows, cols = read_int(rows, 1), read_int(cols, 1)
-    if rows * cols < 2:
-        raise ValueError(f"grid needs n >= 2, got {rows}x{cols}")
+    if not 2 <= rows * cols <= MAX_VERTICES:
+        raise ValueError(f"grid needs 2 <= n <= {MAX_VERTICES}, got {rows}x{cols}")
     return rows, cols
 
 
 # The floors repeat the generators' own checks, which stay for callers in
-# code; here they let `read_spec` name the spec and the field.
+# code; here they and the ceiling let `read_spec` name the spec and the
+# field.  The spider's ceiling needs both fields, so `parse_graph_spec`
+# checks it.
 GRAPH_KINDS = {
-    "path": {"n": (lambda text: read_int(text, 2), None)},
-    "cycle": {"n": (lambda text: read_int(text, 3), None)},
+    "path": {"n": (lambda text: read_int(text, 2, MAX_VERTICES), None)},
+    "cycle": {"n": (lambda text: read_int(text, 3, MAX_VERTICES), None)},
     "grid": {"shape": (_grid_shape, None)},
-    "rt": {"n": (lambda text: read_int(text, 2), None), "seed": (read_int, 0)},
+    "rt": {"n": (lambda text: read_int(text, 2, MAX_VERTICES), None), "seed": (read_int, 0)},
     "spider": {
         "t": (lambda text: read_int(text, 1), None),
         "extra": (lambda text: read_int(text, 0), 0),
@@ -619,6 +626,11 @@ def parse_graph_spec(spec: str) -> tuple[Graph, str]:
     if kind == "grid":
         rows, cols = v["shape"]
         return gen_grid(rows, cols), f"grid:{rows}x{cols}"
+    if kind == "spider" and (n := SpiderSpec(**v).n) > MAX_VERTICES:
+        raise GraphError(
+            f"spec {spec!r}: fields 't' and 'extra' make t*t + 1 + extra = {n} "
+            f"vertices, more than {MAX_VERTICES}"
+        )
     build = {"path": gen_path, "cycle": gen_cycle, "rt": gen_random_tree}.get(kind)
     g = build(**v) if build else gen_spider(SpiderSpec(**v))
     return g, f"{kind}:" + ",".join(f"{key}={v[key]}" for key in GRAPH_KINDS[kind])

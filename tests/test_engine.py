@@ -350,7 +350,7 @@ class TestRunGame:
         assert tr.belief_radius[1] == mask_radius(DistanceOracle(g), np.ones(g.n, dtype=bool))[0]
 
     def test_tracks_radius_without_the_matrix_beyond_its_size(self):
-        g = gen_path(5000)  # more vertices than full_matrix_threshold
+        g = gen_path(5000)  # its n rows are over DistanceOracle.row_bytes
         oracle = DistanceOracle(g)
         tr = run_game(
             g, SweepCat(g), RandomWalkMouse(3), 4, track_belief=True, oracle=oracle

@@ -448,6 +448,26 @@ USAGE_ERRORS = [
             ["gen", "--spec", "grid:-1x4"],
             "error: spec 'grid:-1x4': bad value '-1x4' for field 'shape'",
         ),
+        (
+            "gen path:n=10000000",
+            ["gen", "--spec", "path:n=10000000"],
+            "error: spec 'path:n=10000000': bad value '10000000' for field 'n'",
+        ),
+        (
+            "gen grid:100000x100000",
+            ["gen", "--spec", "grid:100000x100000"],
+            "error: spec 'grid:100000x100000': bad value '100000x100000' for field 'shape'",
+        ),
+        (
+            "simulate cycle:n=1000001",
+            _simulate()[:2] + ["cycle:n=1000001"] + _simulate()[3:],
+            "spec 'cycle:n=1000001': bad value '1000001' for field 'n'",
+        ),
+        (
+            "gen spider:t=999,extra=1999",
+            ["gen", "--spec", "spider:t=999,extra=1999"],
+            "error: spec 'spider:t=999,extra=1999': fields 't' and 'extra' make",
+        ),
         ("mouse spider:t=Arabic-Indic 12", _simulate(mouse="spider:t=\u0661\u0662"), "'t'"),
         (
             "config seeds 1_0, +2",
@@ -557,7 +577,8 @@ class TestCli:
             assert radii == [""] * 5
 
     def test_simulate_tracks_belief_beyond_the_matrix_size(self, capsys):
-        # 5000 > DistanceOracle.full_matrix_threshold: the radius needs rows only.
+        # 4 * 5000**2 bytes > DistanceOracle.row_bytes, so no full matrix:
+        # the radius needs rows only.
         code = main(
             [
                 "simulate", "--graph", "path:n=5000", "--cat", "sweep",

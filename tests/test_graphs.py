@@ -1,5 +1,6 @@
 """Graph core: metric, covers, thin levels, generators, edge-list I/O."""
 
+import sys
 import threading
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catmouse import graphs
-from catmouse.engine import mask_radius
+from catmouse.cats import SweepCat
+from catmouse.engine import mask_radius, run_game
 from catmouse.graphs import (
     BallCover,
     DistanceOracle,
@@ -31,6 +33,7 @@ from catmouse.graphs import (
     sphere,
     write_graph,
 )
+from catmouse.mice import RandomWalkMouse
 
 
 def thin_level(oracle: DistanceOracle, v: int, K: int) -> int | None:
@@ -368,9 +371,19 @@ class TestGenerators:
             ("spider:t=2,extra=-1", "bad value '-1' for field 'extra'"),
             ("grid:0x5", "bad value '0x5' for field 'shape'"),
             ("grid:1x1", "bad value '1x1' for field 'shape'"),
+            ("path:n=1000001", "bad value '1000001' for field 'n'"),
+            ("cycle:n=10000000", "bad value '10000000' for field 'n'"),
+            ("rt:n=1000001,seed=3", "bad value '1000001' for field 'n'"),
+            ("grid:1001x1000", "bad value '1001x1000' for field 'shape'"),
+            ("grid:100000x100000", "bad value '100000x100000' for field 'shape'"),
+            ("spider:t=1000", r"fields 't' and 'extra' make t\*t \+ 1 \+ extra = 1000001 "),
+            ("spider:t=999,extra=1999", "fields 't' and 'extra' make .* = 1000001 "),
         ):
             with pytest.raises(GraphError, match=field):
                 parse_graph_spec(bad)
+        # The ceiling itself is allowed (read, not built).
+        assert read_spec("path:n=1000000", graphs.GRAPH_KINDS) == ("path", {"n": 10**6})
+        assert read_spec("grid:1000x1000", graphs.GRAPH_KINDS)[1] == {"shape": (1000, 1000)}
 
     def test_spec_keys_and_values_are_stripped(self):
         assert parse_graph_spec(" rt : n = 30 , seed = 2 ")[1] == "rt:n=30,seed=2"
@@ -575,7 +588,7 @@ class TestDistanceOracle:
                 lazy.distance(0, v)
 
     def test_full_matrix_threshold(self, monkeypatch):
-        monkeypatch.setattr(DistanceOracle, "full_matrix_threshold", 10)
+        monkeypatch.setattr(DistanceOracle, "row_bytes", 10 * 10 * 4)  # n <= 10
         g = gen_path(20)
         oracle = DistanceOracle(g)
         with pytest.raises(GraphError, match="threshold"):
@@ -583,32 +596,92 @@ class TestDistanceOracle:
         assert oracle.distance(0, 19) == 19  # rows still work
 
     def test_row_cache_eviction_keeps_answers_right(self, monkeypatch):
-        monkeypatch.setattr(DistanceOracle, "full_matrix_threshold", 1)
-        monkeypatch.setattr(DistanceOracle, "row_cache_size", 2)
+        monkeypatch.setattr(DistanceOracle, "row_bytes", 2 * 30 * 4)  # two rows
         g = gen_path(30)
         oracle = DistanceOracle(g)
         for v in range(30):
             assert oracle.distance(v, 0) == v
         assert oracle.distance(29, 0) == 29
 
-    def test_concurrent_readers(self):
-        g = gen_grid(6, 6)
+    def test_row_store_stays_within_its_byte_budget(self, monkeypatch):
+        g, spec = parse_graph_spec("path:n=300")
+        monkeypatch.setattr(DistanceOracle, "row_bytes", 7 * g.n * 4)  # seven rows
         oracle = DistanceOracle(g)
+        stored, wrong = [], []
+        read = DistanceOracle.row
+
+        def row(self, v):
+            out = read(self, v)
+            if not np.array_equal(out, np.abs(np.arange(g.n) - v)):
+                wrong.append(v)
+            stored.append(sum(r.nbytes for r in self._rows.values()))
+            return out
+
+        monkeypatch.setattr(DistanceOracle, "row", row)
+        tr = run_game(
+            g, SweepCat(g), RandomWalkMouse(1), 300, track_belief=True,
+            oracle=oracle, graph_spec=spec,
+        )
+        assert not wrong
+        assert max(stored) == DistanceOracle.row_bytes  # full, and evicting
+        monkeypatch.undo()
+        unbounded = DistanceOracle(g)
+        assert tr.to_dict() == run_game(
+            g, SweepCat(g), RandomWalkMouse(1), 300, track_belief=True,
+            oracle=unbounded, graph_spec=spec,
+        ).to_dict()
+        assert len(unbounded._rows) > 7
+
+    def test_a_hit_reads_only_the_store(self):
+        g = gen_path(8)
+        oracle = DistanceOracle(g)
+        rows = [oracle.row(v) for v in range(g.n)]
+        oracle.graph = oracle._lock = None  # a hit checks nothing and locks nothing
+        assert all(oracle.row(v) is rows[v] for v in range(g.n))
+
+    def test_full_matrix_rows_serve_every_read(self, monkeypatch):
+        g = gen_grid(5, 6)
+        oracle = DistanceOracle(g)
+        oracle.row(3)
+        mat = oracle.full_matrix()
+        computed = []
+        bfs = graphs.bfs_distances
+        monkeypatch.setattr(graphs, "bfs_distances", lambda h, v: computed.append(v) or bfs(h, v))
+        for v in range(g.n):
+            assert np.shares_memory(oracle.row(v), mat)
+            assert oracle.distance(v, 0) == mat[v, 0]
+        assert oracle.full_matrix() is mat
+        assert computed == []
+
+    def test_concurrent_readers(self, monkeypatch):
+        g = gen_grid(6, 6)
         expected = floyd_warshall(g)
-        failures = []
+        # The default budget holds every row; three rows make evictions run
+        # while the threads read, switching threads every few bytecodes.
+        for budget in (DistanceOracle.row_bytes, 3 * g.n * 4):
+            monkeypatch.setattr(DistanceOracle, "row_bytes", budget)
+            oracle = DistanceOracle(g)
+            failures = []
 
-        def reader(start):
-            for v in range(start, g.n, 4):
-                for w in range(g.n):
-                    if oracle.distance(v, w) != expected[v, w]:
-                        failures.append((v, w))
+            def reader(start):
+                for v in range(start, g.n, 4):
+                    for w in range(g.n):
+                        if oracle.distance(v, w) != expected[v, w]:
+                            failures.append((v, w))
 
-        threads = [threading.Thread(target=reader, args=(s,)) for s in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not failures
+            threads = [threading.Thread(target=reader, args=(s,)) for s in range(4)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            assert not failures
+            assert len(oracle._rows) * g.n * 4 <= budget
 
 
 def test_ceil_sqrt_exact():

@@ -7,7 +7,9 @@ those attributes, its layer silently drops out of `perfbench/run.py --trace
 through the module attributes, and requires the spans of the layers those
 games must reach.  The spider evader drives cat clones, so the cat's
 query methods must be traced from both callers: the engine (`cats.decide`)
-and the evader's lookahead (`cats.clone_query`).
+and the evader's lookahead (`cats.clone_query`).  Every distance read goes
+through `DistanceOracle.row` (`graphs.row`), so a read that bypassed it
+would drop that layer too.
 """
 
 from pathlib import Path
@@ -37,6 +39,6 @@ def test_tracer_spans_cover_the_game_layers(monkeypatch):
     names = {span[0] for span in tracer.spans}
     expected = {
         "engine.run_game", "cats.build", "cats.decide", "cats.clone", "cats.clone_query",
-        "mice.decide", "graphs.cover", "engine.kernel", "engine.radius",
+        "mice.decide", "graphs.cover", "graphs.row", "engine.kernel", "engine.radius",
     }
     assert expected <= names, sorted(expected - names)
