@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import copy
 import json
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
@@ -44,6 +45,15 @@ def feedback_bit(d_prev: int, d_cur: int) -> int:
     return 1 if d_cur <= d_prev else 0
 
 
+def _vertex_id(step: int, what: str, value) -> int:
+    """`value` as a Python int; a float or any other non-integer is a rule
+    violation, even one that compares equal to a vertex id."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise RuleViolationError(f"step {step}: {what} {value!r} is not an integer") from None
+
+
 def _mask_from_bool(arr: np.ndarray) -> int:
     return int.from_bytes(np.packbits(arr, bitorder="little").tobytes(), "little")
 
@@ -62,7 +72,8 @@ class BeliefKernel:
     and from c_cur.  A small believed set M takes the sparse step, which
     walks only the closed neighborhoods of M's members and costs
     O(n + sum of |N[u]| over u in M); a large one takes the dense step,
-    which gathers over the whole closed CSR and costs O(n + 2m).
+    which scatters along the graph's 2m arcs and costs O(n + 2m) in a few
+    whole-array numpy calls.
     """
 
     _NONE_MAX = np.int32(-1)
@@ -71,16 +82,20 @@ class BeliefKernel:
     # count per step; a cut on M's degree sum needs flatnonzero on every step
     # and made the dense-side spider games 1.45-1.50x slower.  Timed per call
     # on random masks (2 shared cores, numpy 2.4), the sparse step stops
-    # beating the dense one at an |M|/n between 0.25 and 0.5 on path:n=2000,
-    # grid:45x45 and spider:t=24; a third sits inside that range.
-    SPARSE_FACTOR = 3
+    # beating the arc scatter at an |M|/n near 0.06 on path:n=2000 and near
+    # 0.2 on grid:45x45, and never beats it on spider:t=24 or
+    # rt:n=1000,seed=3.  A sixteenth sits inside that range; in paired game
+    # runs it beat a third by 4-14% on localize-sqrt and track-thin.
+    SPARSE_FACTOR = 16
 
     def __init__(self, oracle: DistanceOracle) -> None:
-        indptr, indices = oracle.graph.closed_csr()
-        self._n = oracle.graph.n
+        g = oracle.graph
+        indptr, indices = g.closed_csr()
+        self._n = g.n
         self._starts = indptr[:-1]
         self._degrees = np.diff(indptr)
         self._indices = indices
+        self._src, self._dst = g.arcs()
 
     def update_bool(
         self, members: np.ndarray, row_prev: np.ndarray, row_cur: np.ndarray, bit: int
@@ -103,12 +118,18 @@ class BeliefKernel:
         return out
 
     def _dense_step(self, members, row_prev, row_cur, bit):
-        """Mask row_prev to M first, then reduce it over every N[v]."""
+        """Mask row_prev to M, then push each arc's u value into its v.
+
+        Each v's own entry is its self term, so the reduction covers N[v].
+        The values are gathered before the scatter, and `ufunc.at` is
+        unbuffered, so a v that receives many arcs keeps their max (min)."""
         if bit == 1:
             vals = np.where(members, row_prev, self._NONE_MAX)
-            return np.maximum.reduceat(vals[self._indices], self._starts) >= row_cur
+            np.maximum.at(vals, self._dst, vals[self._src])
+            return vals >= row_cur
         vals = np.where(members, row_prev, self._NONE_MIN)
-        return np.minimum.reduceat(vals[self._indices], self._starts) < row_cur
+        np.minimum.at(vals, self._dst, vals[self._src])
+        return vals < row_cur
 
 
 class CatStrategy(ABC):
@@ -240,8 +261,9 @@ def run_game(
     Each step, step 1 included, is one pass of the loop: the cat's
     `next_query(b[i - 1])` comes first; the mouse's `next_move(view)` then
     moves with c_i in `view.c[i]` and may simulate the cat through the view.
-    The move is checked against the range at step 1 and against the closed
-    neighborhood after.  With
+    Queries and moves must be integers (numpy integers are stored as Python
+    ints); the move is checked against the range at step 1 and against the
+    closed neighborhood after.  With
     track_belief the exact belief mask is recorded per step (M_1 = V);
     track_radius (default: same as track_belief) additionally records
     rad_G(M_i) and its center by `mask_radius`, and requires track_belief.
@@ -269,10 +291,14 @@ def run_game(
     for i in range(1, horizon + 1):
         view.step = i
         ci = cat.next_query(b[i - 1])  # b[0] and b[1] are None: no bit before step 2
+        if type(ci) is not int:  # the common case skips a call per step
+            ci = _vertex_id(i, "cat query", ci)
         if not (0 <= ci < g.n):
             raise RuleViolationError(f"step {i}: cat query {ci} out of range")
         c.append(ci)
         mi = mouse.next_move(view)
+        if type(mi) is not int:
+            mi = _vertex_id(i, "mouse move", mi)
         prev_m = m[i - 1]
         if i == 1:
             if not (0 <= mi < g.n):

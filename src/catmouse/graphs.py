@@ -46,7 +46,7 @@ class Graph:
     Instances are immutable once constructed and safe to share across threads.
     """
 
-    __slots__ = ("n", "adjacency", "edge_count", "_csr")
+    __slots__ = ("n", "adjacency", "edge_count", "_csr", "_arcs")
 
     def __init__(self, n: int, edges) -> None:
         if n < 1:
@@ -70,6 +70,7 @@ class Graph:
         self.n = n
         self.edge_count = len(seen)
         self._csr = None
+        self._arcs = None
         reached = int(np.count_nonzero(bfs_distances(self, 0) >= 0))
         if reached != n:
             raise GraphError(f"graph is disconnected ({reached} of {n} reachable)")
@@ -90,6 +91,19 @@ class Graph:
             indices.flags.writeable = False
             self._csr = (indptr, indices)
         return self._csr
+
+    def arcs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The 2m directed arcs u -> v of the open neighborhoods as (src, dst),
+        grouped by v: the closed CSR without its self entries, for kernels."""
+        if self._arcs is None:
+            indptr, indices = self.closed_csr()
+            owners = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(indptr))
+            keep = indices != owners
+            src, dst = indices[keep], owners[keep]
+            src.flags.writeable = False
+            dst.flags.writeable = False
+            self._arcs = (src, dst)
+        return self._arcs
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (min, max) pairs, sorted."""

@@ -25,10 +25,12 @@ from catmouse.graphs import (
     DistanceOracle,
     Graph,
     GraphError,
+    SpiderSpec,
     gen_cycle,
     gen_grid,
     gen_path,
     gen_random_tree,
+    gen_spider,
 )
 from catmouse.mice import RandomWalkMouse, ScriptedMouse, StationaryMouse
 
@@ -137,11 +139,19 @@ class TestBeliefUpdate:
 
 @st.composite
 def kernel_graphs(draw):
-    kind = draw(st.sampled_from(("tree", "cycle", "grid")))
+    """Trees, cycles and grids, plus stars and spiders, whose hubs receive
+    many arcs: the repeated targets a buffered scatter would get wrong."""
+    kind = draw(st.sampled_from(("tree", "cycle", "grid", "star", "spider")))
     if kind == "tree":
         return gen_random_tree(draw(st.integers(2, 36)), draw(st.integers(0, 2**20)))
     if kind == "cycle":
         return gen_cycle(draw(st.integers(3, 36)))
+    if kind == "star":
+        n = draw(st.integers(3, 36))
+        hub = draw(st.integers(0, n - 1))
+        return Graph(n, [(hub, v) for v in range(n) if v != hub])
+    if kind == "spider":
+        return gen_spider(SpiderSpec(draw(st.integers(2, 6)), draw(st.integers(0, 5))))
     return gen_grid(draw(st.integers(1, 6)), draw(st.integers(2, 6)))
 
 
@@ -168,9 +178,9 @@ def test_kernel_matches_solver_on_arbitrary_beliefs(case):
 
 
 def full_csr_update(g, members, row_prev, row_cur, bit):
-    """The kernel step the sparse and mask-first steps replaced, kept as their
-    reference: gather both the rows and the mask over the whole closed CSR,
-    mask the gathered rows, then reduce over each N[v]."""
+    """The kernel step the sparse step and the arc scatter replaced, kept as
+    their reference: gather both the rows and the mask over the whole closed
+    CSR, mask the gathered rows, then reduce over each N[v]."""
     indptr, indices = g.closed_csr()
     gathered = row_prev[indices]
     member_at = members[indices]
@@ -184,12 +194,12 @@ def full_csr_update(g, members, row_prev, row_cur, bit):
 @st.composite
 def gate_cases(draw):
     g = draw(kernel_graphs())
-    third = -(-g.n // 3)
-    size = draw(st.sampled_from(("one", "third", "random")))
+    cut = -(-g.n // BeliefKernel.SPARSE_FACTOR)
+    size = draw(st.sampled_from(("one", "cut", "random")))
     if size == "one":
         k = 1
-    elif size == "third":
-        k = min(g.n, max(1, third + draw(st.sampled_from((-1, 0, 1)))))
+    elif size == "cut":
+        k = min(g.n, max(1, cut + draw(st.sampled_from((-1, 0, 1)))))
     else:
         k = draw(st.integers(1, g.n))
     members = np.zeros(g.n, dtype=bool)
@@ -203,8 +213,8 @@ def gate_cases(draw):
 def test_sparse_and_dense_steps_match_full_csr_gather_and_solver(case):
     """Each side of the kernel's gate, called directly whatever |M| is,
     equals the full-CSR gather it replaced and the solver's set-based step,
-    for both bits, from one member, from about n/3 members and from a random
-    set."""
+    for both bits, from one member, from about the gate's cut and from a
+    random set."""
     g, members, c_prev, c_cur = case
     oracle = DistanceOracle(g)
     kernel = BeliefKernel(oracle)
@@ -230,15 +240,27 @@ def test_update_bool_goes_sparse_below_a_third_of_n(n):
     for name in ("_sparse_step", "_dense_step"):
         real = getattr(kernel, name)
         setattr(kernel, name, lambda *args, real=real, name=name: taken.append(name) or real(*args))
-    third = -(-n // 3)
+    cut = -(-n // BeliefKernel.SPARSE_FACTOR)  # the least |M| that goes dense
     row_prev, row_cur = oracle.row(0), oracle.row(n - 1)
-    for size, side in ((third - 1, "_sparse_step"), (third, "_dense_step")):
+    for size, side in ((cut - 1, "_sparse_step"), (cut, "_dense_step")):
         members = np.zeros(n, dtype=bool)
         members[:size] = True
         taken.clear()
         got = kernel.update_bool(members, row_prev, row_cur, 1)
         assert taken == [side], size
         assert np.array_equal(got, full_csr_update(g, members, row_prev, row_cur, 1))
+
+
+def test_kernels_on_one_graph_share_its_arcs():
+    # run_game builds a kernel per game; the arcs are built once per graph.
+    g = gen_grid(4, 5)
+    first, second = BeliefKernel(DistanceOracle(g)), BeliefKernel(DistanceOracle(g))
+    assert np.shares_memory(first._src, second._src)
+    assert np.shares_memory(first._dst, second._dst)
+    src, dst = g.arcs()
+    assert sorted(zip(src.tolist(), dst.tolist())) == sorted(
+        (u, v) for v in range(g.n) for u in g.adjacency[v]
+    )
 
 
 def column_gather_radius(oracle, members):
@@ -400,6 +422,36 @@ class TestRunGame:
         g = gen_path(5)
         with pytest.raises(RuleViolationError, match=f"step {step}: cat query {bad} out of range"):
             run_game(g, ScriptedCat(queries), ScriptedMouse(path), 4, oracle=DistanceOracle(g))
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_non_integer_cat_query_is_a_rule_violation(self, cached):
+        # 1.0 == 1 passes a range check; whether row(1) is stored must not
+        # decide what happens.
+        g = gen_path(5)
+        oracle = DistanceOracle(g)
+        if cached:
+            oracle.row(1)
+        with pytest.raises(RuleViolationError, match=r"step 2: cat query 1\.0 is not an integer"):
+            run_game(g, ScriptedCat([0, 1.0]), StationaryMouse(2), 4, oracle=oracle)
+
+    def test_non_integer_mouse_move_is_a_rule_violation(self):
+        # 2.0 == 2, so a membership test finds it among the neighbors of 1.
+        g = gen_path(5)
+        with pytest.raises(RuleViolationError, match=r"step 2: mouse move 2\.0 is not an integer"):
+            run_game(g, StayCat(g), ScriptedMouse([1, 2.0]), 3, oracle=DistanceOracle(g))
+
+    def test_numpy_integer_moves_are_stored_as_python_ints(self):
+        g = gen_path(5)
+        tr = run_game(
+            g,
+            ScriptedCat(np.arange(4, dtype=np.int64)),
+            ScriptedMouse(np.array([2, 3, 3, 4], dtype=np.int32)),
+            4,
+            oracle=DistanceOracle(g),
+        )
+        assert tr.c[1:] == [0, 1, 2, 3] and tr.m[1:] == [2, 3, 3, 4]
+        assert all(type(v) is int for v in tr.c[1:] + tr.m[1:])
+        assert tr.to_json()
 
     def test_mouse_sees_this_steps_query(self):
         class RecordingMouse(RandomWalkMouse):
