@@ -69,49 +69,51 @@ class BeliefKernel:
     v survives a bit-1 update iff some believed u in N[v] has
     d(c_prev, u) >= d(c_cur, v); a bit-0 update flips the comparison to
     strict less-than.  The caller passes the two distance rows, from c_prev
-    and from c_cur.  A small believed set M takes the sparse step, which
-    walks only the closed neighborhoods of M's members and costs
-    O(n + sum of |N[u]| over u in M); a large one takes the dense step,
-    which scatters along the graph's 2m arcs and costs O(n + 2m) in a few
-    whole-array numpy calls.
+    and from c_cur.  A small believed set M takes the sparse step, one
+    gather of M's rows from the graph's padded closed-neighborhood table
+    (`Graph.closed_table`, W columns), which costs O(n + |M| W); a large one
+    takes the dense step, which scatters along the graph's 2m arcs and costs
+    O(n + 2m) in a few whole-array numpy calls.  A graph with no table (one
+    hub makes it too wide) always takes the dense step.
     """
 
     _NONE_MAX = np.int32(-1)
     _NONE_MIN = np.int32(2**30)
-    # Sparse when SPARSE_FACTOR * |M| < n.  A cut on |M| alone costs one
-    # count per step; a cut on M's degree sum needs flatnonzero on every step
-    # and made the dense-side spider games 1.45-1.50x slower.  Timed per call
-    # on random masks (2 shared cores, numpy 2.4), the sparse step stops
-    # beating the arc scatter at an |M|/n near 0.06 on path:n=2000 and near
-    # 0.2 on grid:45x45, and never beats it on spider:t=24 or
-    # rt:n=1000,seed=3.  A sixteenth sits inside that range; in paired game
-    # runs it beat a third by 4-14% on localize-sqrt and track-thin.
-    SPARSE_FACTOR = 16
+    # Sparse when SPARSE_FACTOR * |M| < (n + 2m) // W: the two steps' work,
+    # |M| W table entries against n + 2m scatter entries.  A cut on |M| alone
+    # costs one count per step; a cut on M's degree sum needs a nonzero on
+    # every step and made the dense-side spider games 1.45-1.50x slower.
+    # Timed per call on random and ball-shaped masks (2 shared cores, numpy
+    # 2.4), the padded step stops beating the arc scatter near |M| = 275 on
+    # path:n=2000, 480 on grid:45x45, 120 on rt:n=1000,seed=3, 10 on
+    # spider:t=12,extra=0 and 30 on spider:t=24,extra=0 (whose table
+    # TABLE_BOUND drops): factors of 7.3, 4, 2.8, 3.3 and 2.3.  At 8 the cut
+    # sits below every one of them.
+    SPARSE_FACTOR = 8
 
     def __init__(self, oracle: DistanceOracle) -> None:
         g = oracle.graph
-        indptr, indices = g.closed_csr()
         self._n = g.n
-        self._starts = indptr[:-1]
-        self._degrees = np.diff(indptr)
-        self._indices = indices
         self._src, self._dst = g.arcs()
+        self._table = g.closed_table()
+        work = 0 if self._table is None else (g.n + self._src.size) // self._table.shape[1]
+        self._cut = -(-work // self.SPARSE_FACTOR)  # the least |M| that goes dense
 
     def update_bool(
         self, members: np.ndarray, row_prev: np.ndarray, row_cur: np.ndarray, bit: int
     ) -> np.ndarray:
-        if self.SPARSE_FACTOR * np.count_nonzero(members) < self._n:
+        if np.count_nonzero(members) < self._cut:
             return self._sparse_step(members, row_prev, row_cur, bit)
         return self._dense_step(members, row_prev, row_cur, bit)
 
     def _sparse_step(self, members, row_prev, row_cur, bit):
         """Pair each member u with every v in N[u] (closed neighborhoods are
-        symmetric) and keep the v whose comparison holds."""
-        idx = np.flatnonzero(members)
-        deg = self._degrees[idx]
-        shift = np.repeat(self._starts[idx] - (np.cumsum(deg) - deg), deg)
-        v = self._indices[shift + np.arange(shift.size)]
-        d_prev = np.repeat(row_prev[idx], deg)
+        symmetric) and keep the v whose comparison holds.  A padded slot
+        repeats the pair (u, u), the self term, and setting True twice is
+        harmless, so no unbuffered scatter is needed."""
+        idx = members.nonzero()[0]
+        v = self._table[idx]
+        d_prev = row_prev[idx][:, None]
         keep = d_prev >= row_cur[v] if bit == 1 else d_prev < row_cur[v]
         out = np.zeros(self._n, dtype=bool)
         out[v[keep]] = True
@@ -314,9 +316,9 @@ def run_game(
             b.append(bit)
             if track_belief:
                 members = kernel.update_bool(members, row_prev, row_cur, bit)
-                if not members.any():
-                    raise IllegalFeedbackError(f"belief set emptied at step {i}")
                 if not members[mi]:
+                    if not members.any():
+                        raise IllegalFeedbackError(f"belief set emptied at step {i}")
                     raise GameError(
                         f"step {i}: true mouse position {mi} fell out of the belief set"
                     )

@@ -245,8 +245,8 @@ def test_a_raising_corpus_game_fails_its_criterion_and_names_the_game(monkeypatc
 def test_each_criterion_starts_from_an_empty_corpus_cache(monkeypatch):
     # The second suite run must redo the first one's BFS rows, not read
     # them from the corpus graphs the first one cached.  The first run
-    # starts cold whatever ran before it, and the spider generator's own
-    # cache is emptied before each run, so that the BFS of each spider's
+    # starts cold whatever ran before it: each criterion also empties the
+    # spider generator's own cache, so that the BFS of each spider's
     # connectivity check counts in both runs.
     rows = 0
     real = graphs.bfs_distances
@@ -261,7 +261,6 @@ def test_each_criterion_starts_from_an_empty_corpus_cache(monkeypatch):
     counts = []
     for _ in range(2):
         rows = 0
-        graphs.gen_spider.cache_clear()
         assert all(r.ok for r in verify.verify_suite("structure", quick=True))
         counts.append(rows)
     assert counts[0] == counts[1] > 0

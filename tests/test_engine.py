@@ -12,6 +12,7 @@ from catmouse.cats import ScriptedCat, SeededRandomCat, StayCat, SweepCat
 from catmouse.engine import (
     BeliefKernel,
     GameError,
+    IllegalFeedbackError,
     MouseStrategy,
     RuleViolationError,
     _bool_from_mask,
@@ -179,9 +180,11 @@ def test_kernel_matches_solver_on_arbitrary_beliefs(case):
 
 def full_csr_update(g, members, row_prev, row_cur, bit):
     """The kernel step the sparse step and the arc scatter replaced, kept as
-    their reference: gather both the rows and the mask over the whole closed
-    CSR, mask the gathered rows, then reduce over each N[v]."""
-    indptr, indices = g.closed_csr()
+    their reference: build the closed CSR, gather both the rows and the mask
+    over all of it, mask the gathered rows, then reduce over each N[v]."""
+    closed = [sorted((v, *g.adjacency[v])) for v in range(g.n)]
+    indptr = np.cumsum([0] + [len(nbrs) for nbrs in closed])
+    indices = np.array([u for nbrs in closed for u in nbrs])
     gathered = row_prev[indices]
     member_at = members[indices]
     if bit == 1:
@@ -191,10 +194,24 @@ def full_csr_update(g, members, row_prev, row_cur, bit):
     return np.minimum.reduceat(vals, indptr[:-1]) < row_cur
 
 
+@settings(max_examples=200, deadline=None)
+@given(g=kernel_graphs())
+def test_closed_table_rows_are_closed_neighborhoods_padded_with_their_vertex(g):
+    width = 1 + max(len(nbrs) for nbrs in g.adjacency)
+    table = g.closed_table()
+    if g.n * width > Graph.TABLE_BOUND * (g.n + 2 * g.edge_count):
+        assert table is None
+        return
+    assert table.shape == (g.n, width) and not table.flags.writeable
+    for v, row in enumerate(table.tolist()):
+        # N(v) once each, and v in every other slot: its own and the padding
+        assert sorted(row) == sorted([*g.adjacency[v], *[v] * (width - len(g.adjacency[v]))])
+
+
 @st.composite
 def gate_cases(draw):
     g = draw(kernel_graphs())
-    cut = -(-g.n // BeliefKernel.SPARSE_FACTOR)
+    cut = BeliefKernel(DistanceOracle(g))._cut
     size = draw(st.sampled_from(("one", "cut", "random")))
     if size == "one":
         k = 1
@@ -214,10 +231,16 @@ def test_sparse_and_dense_steps_match_full_csr_gather_and_solver(case):
     """Each side of the kernel's gate, called directly whatever |M| is,
     equals the full-CSR gather it replaced and the solver's set-based step,
     for both bits, from one member, from about the gate's cut and from a
-    random set."""
+    random set.  A graph with no closed table has no sparse step, and its
+    `update_bool` goes dense whatever |M| is."""
     g, members, c_prev, c_cur = case
     oracle = DistanceOracle(g)
     kernel = BeliefKernel(oracle)
+    steps = [kernel._dense_step, kernel.update_bool]
+    if g.closed_table() is not None:
+        steps.append(kernel._sparse_step)
+    else:
+        kernel._sparse_step = None  # a call would raise TypeError
     row_prev, row_cur = oracle.row(c_prev), oracle.row(c_cur)
     believed = set(members_of(members))
     for bit in (0, 1):
@@ -225,7 +248,7 @@ def test_sparse_and_dense_steps_match_full_csr_gather_and_solver(case):
         assert set(members_of(expected)) == set(
             solver._step_sets(g, solver._DistCache(g), believed, c_prev, c_cur, bit)
         )
-        for step in (kernel._sparse_step, kernel._dense_step):
+        for step in steps:
             got = step(members, row_prev, row_cur, bit)
             assert got.dtype == bool
             assert np.array_equal(got, expected), (step.__name__, bit)
@@ -240,7 +263,7 @@ def test_update_bool_goes_sparse_below_a_third_of_n(n):
     for name in ("_sparse_step", "_dense_step"):
         real = getattr(kernel, name)
         setattr(kernel, name, lambda *args, real=real, name=name: taken.append(name) or real(*args))
-    cut = -(-n // BeliefKernel.SPARSE_FACTOR)  # the least |M| that goes dense
+    cut = kernel._cut  # the least |M| that goes dense
     row_prev, row_cur = oracle.row(0), oracle.row(n - 1)
     for size, side in ((cut - 1, "_sparse_step"), (cut, "_dense_step")):
         members = np.zeros(n, dtype=bool)
@@ -251,12 +274,29 @@ def test_update_bool_goes_sparse_below_a_third_of_n(n):
         assert np.array_equal(got, full_csr_update(g, members, row_prev, row_cur, 1))
 
 
+@pytest.mark.parametrize(
+    "g",
+    [gen_path(31), gen_grid(9, 9), gen_random_tree(200, 3), Graph(40, [(0, v) for v in range(1, 40)])],
+    ids=["path", "grid", "tree", "star"],
+)
+def test_sparse_cut_weighs_the_padded_gather_against_the_arc_scatter(g):
+    # Sparse while SPARSE_FACTOR * |M| < (n + 2m) // W; the star's table
+    # would pass the bound, so it has none and never goes sparse.
+    width = 1 + max(len(nbrs) for nbrs in g.adjacency)
+    work = (g.n + 2 * g.edge_count) // width
+    if g.n * width > Graph.TABLE_BOUND * (g.n + 2 * g.edge_count):
+        work = 0
+    assert BeliefKernel(DistanceOracle(g))._cut == -(-work // BeliefKernel.SPARSE_FACTOR)
+
+
 def test_kernels_on_one_graph_share_its_arcs():
-    # run_game builds a kernel per game; the arcs are built once per graph.
+    # run_game builds a kernel per game; the arcs and the closed table are
+    # built once per graph.
     g = gen_grid(4, 5)
     first, second = BeliefKernel(DistanceOracle(g)), BeliefKernel(DistanceOracle(g))
     assert np.shares_memory(first._src, second._src)
     assert np.shares_memory(first._dst, second._dst)
+    assert np.shares_memory(first._table, second._table)
     src, dst = g.arcs()
     assert sorted(zip(src.tolist(), dst.tolist())) == sorted(
         (u, v) for v in range(g.n) for u in g.adjacency[v]
@@ -363,7 +403,31 @@ def test_mask_radius_rejects_empty_and_out_of_range_sets():
             DistanceOracle(g).set_radius(np.array(ids))
 
 
+def _kernel_keeping(kept):
+    """A stand-in for `BeliefKernel.update_bool` that returns `kept`."""
+
+    def update_bool(self, members, row_prev, row_cur, bit):
+        out = np.zeros_like(members)
+        out[list(kept)] = True
+        return out
+
+    return update_bool
+
+
 class TestRunGame:
+    def test_an_emptied_belief_set_is_illegal_feedback(self, monkeypatch):
+        monkeypatch.setattr(BeliefKernel, "update_bool", _kernel_keeping(()))
+        g = gen_path(5)
+        with pytest.raises(IllegalFeedbackError, match="belief set emptied at step 2"):
+            run_game(g, StayCat(g), StationaryMouse(3), 3, track_belief=True, oracle=DistanceOracle(g))
+
+    def test_a_belief_set_without_the_mouse_is_a_game_error(self, monkeypatch):
+        monkeypatch.setattr(BeliefKernel, "update_bool", _kernel_keeping((0, 1)))
+        g = gen_path(5)
+        with pytest.raises(GameError, match="step 2: true mouse position 3 fell out") as info:
+            run_game(g, StayCat(g), StationaryMouse(3), 3, track_belief=True, oracle=DistanceOracle(g))
+        assert not isinstance(info.value, IllegalFeedbackError)
+
     def test_horizon_one_radius_is_whole_graph(self):
         g = gen_grid(3, 3)
         tr = run_game(

@@ -193,7 +193,8 @@ class TestSphere:
     def test_cycle_symmetry(self):
         oracle = DistanceOracle(gen_cycle(10))
         for v in range(10):
-            assert len(sphere(oracle, v, 3)) == 2
+            got = sphere(oracle, v, 3)
+            assert len(got) == 2 and all(type(w) is int for w in got)
 
     def test_beyond_eccentricity_empty(self):
         assert sphere(DistanceOracle(gen_path(5)), 0, 10) == ()
