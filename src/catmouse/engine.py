@@ -14,8 +14,10 @@ consistent with the observed bits; M_1 is all of V.
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import operator
+import weakref
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
@@ -69,34 +71,56 @@ class BeliefKernel:
     v survives a bit-1 update iff some believed u in N[v] has
     d(c_prev, u) >= d(c_cur, v); a bit-0 update flips the comparison to
     strict less-than.  The caller passes the two distance rows, from c_prev
-    and from c_cur.  A small believed set M takes the sparse step, one
-    gather of M's rows from the graph's padded closed-neighborhood table
-    (`Graph.closed_table`, W columns), which costs O(n + |M| W); a large one
-    takes the dense step, which scatters along the graph's 2m arcs and costs
-    O(n + 2m) in a few whole-array numpy calls.  A graph with no table (one
-    hub makes it too wide) always takes the dense step.
+    and from c_cur.  The kernel owns the graph's neighborhood layout: the 2m
+    arcs u -> v, and a padded table whose row v holds N[v], W columns wide
+    (W the largest closed degree), padded with v itself.  A small believed
+    set M takes the sparse step, one gather of M's table rows, which costs
+    O(n + |M| W); a large one takes the dense step, which scatters along the
+    arcs and costs O(n + 2m) in a few whole-array numpy calls.  A graph with
+    no table (one hub makes it too wide) always takes the dense step.  A
+    kernel holds only n and read-only arrays, never its oracle.
     """
 
     _NONE_MAX = np.int32(-1)
     _NONE_MIN = np.int32(2**30)
-    # Sparse when SPARSE_FACTOR * |M| < (n + 2m) // W: the two steps' work,
-    # |M| W table entries against n + 2m scatter entries.  A cut on |M| alone
-    # costs one count per step; a cut on M's degree sum needs a nonzero on
-    # every step and made the dense-side spider games 1.45-1.50x slower.
-    # Timed per call on random and ball-shaped masks (2 shared cores, numpy
-    # 2.4), the padded step stops beating the arc scatter near |M| = 275 on
-    # path:n=2000, 480 on grid:45x45, 120 on rt:n=1000,seed=3, 10 on
-    # spider:t=12,extra=0 and 30 on spider:t=24,extra=0 (whose table
-    # TABLE_BOUND drops): factors of 7.3, 4, 2.8, 3.3 and 2.3.  At 8 the cut
-    # sits below every one of them.
+    # The table's n * W entries are built only while they stay within
+    # TABLE_BOUND times the n + 2m entries of the closed neighborhoods: one
+    # hub makes the table n x n (a star of 10^6 vertices passes
+    # MAX_VERTICES).  Paths, grids and random trees sit at 1-4, spider:t=12
+    # at 4.4-4.7; spider:t=24 (8.3) and stars have no table and go dense.
+    # With a table, M is sparse when SPARSE_FACTOR * |M| < (n + 2m) // W:
+    # the two steps' work, |M| W table entries against n + 2m scatter
+    # entries; past TABLE_BOUND that cut would be below
+    # n / (TABLE_BOUND * SPARSE_FACTOR) anyway.  A cut on |M| alone costs one
+    # count per step; a cut on M's degree sum needs a nonzero on every step
+    # and made the dense-side spider games 1.45-1.50x slower.  Timed per call
+    # on random and ball-shaped masks (2 shared cores, numpy 2.4), the padded
+    # step stops beating the arc scatter near |M| = 275 on path:n=2000, 480
+    # on grid:45x45, 120 on rt:n=1000,seed=3, 10 on spider:t=12,extra=0 and
+    # 30 on spider:t=24,extra=0 (whose table TABLE_BOUND drops): factors of
+    # 7.3, 4, 2.8, 3.3 and 2.3.  At 8 the cut sits below every one of them.
+    TABLE_BOUND = 8
     SPARSE_FACTOR = 8
 
     def __init__(self, oracle: DistanceOracle) -> None:
         g = oracle.graph
-        self._n = g.n
-        self._src, self._dst = g.arcs()
-        self._table = g.closed_table()
-        work = 0 if self._table is None else (g.n + self._src.size) // self._table.shape[1]
+        n = g.n
+        degrees = np.fromiter(map(len, g.adjacency), dtype=np.intp, count=n)
+        # arcs grouped by v with u ascending: the table fill below relies on it
+        dst = np.repeat(np.arange(n, dtype=np.intp), degrees)
+        src = np.fromiter(itertools.chain.from_iterable(g.adjacency), dtype=np.intp, count=dst.size)
+        src.flags.writeable = False
+        dst.flags.writeable = False
+        width = int(degrees.max()) + 1
+        table = None
+        work = 0
+        if n * width <= self.TABLE_BOUND * (n + src.size):
+            table = np.repeat(np.arange(n, dtype=np.intp), width).reshape(n, width)
+            firsts = np.cumsum(degrees) - degrees
+            table[dst, 1 + np.arange(src.size) - firsts[dst]] = src
+            table.flags.writeable = False
+            work = (n + src.size) // width
+        self._n, self._src, self._dst, self._table = n, src, dst, table
         self._cut = -(-work // self.SPARSE_FACTOR)  # the least |M| that goes dense
 
     def update_bool(
@@ -246,6 +270,20 @@ def mask_radius(oracle: DistanceOracle, members: np.ndarray) -> tuple[int, int]:
     return oracle.set_radius(np.flatnonzero(members))
 
 
+# One kernel per oracle, built by its first belief-tracking game; a weak key
+# frees the kernel with its oracle, which the kernel does not reference.
+_kernels: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _kernel_for(oracle: DistanceOracle) -> BeliefKernel:
+    # Two threads may both build one oracle's kernel; either is right, since
+    # a kernel is read-only and update_bool is pure.
+    kernel = _kernels.get(oracle)
+    if kernel is None:
+        kernel = _kernels[oracle] = BeliefKernel(oracle)
+    return kernel
+
+
 def run_game(
     g: Graph,
     cat: CatStrategy,
@@ -280,7 +318,7 @@ def run_game(
     oracle.check_graph(g)
     view = GameView(oracle, cat)
 
-    kernel = BeliefKernel(oracle) if track_belief else None
+    kernel = _kernel_for(oracle) if track_belief else None
     beliefs: list | None = [None] if track_belief else None
     radii: list | None = [None] if track_radius else None
     centers: list | None = [None] if track_radius else None

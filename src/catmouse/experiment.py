@@ -47,8 +47,8 @@ CSV_COLUMNS = (
 
 LOWER_BOUND_NOTE = (
     "lower-bound rows certify evasion against the strategies actually run, "
-    "not against every possible cat; the exhaustive solver covers the full "
-    "quantifier on tiny instances only"
+    "not against every possible cat; the exhaustive solver is checked against "
+    "engine play only on graphs of at most 4 vertices (verify criterion 7)"
 )
 
 FORMULA_TAGS = ("sqrt32n", "sqrt2n", "fourLplusK", "threeHalvesK", "tOver12")
@@ -155,8 +155,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
-def resolve_bound(tag: int | str | None, g: Graph, cat, cfg: ExperimentConfig) -> int | None:
-    """Resolve a bound tag to an integer, rounding square roots up."""
+def resolve_bound(
+    field: str, tag: int | str | None, g: Graph, cat, cfg: ExperimentConfig
+) -> int | None:
+    """Resolve the bound tag of config field `field` to an integer, rounding
+    square roots up; an error names the field."""
     if tag is None or isinstance(tag, int):
         return tag
     n = g.n
@@ -166,18 +169,18 @@ def resolve_bound(tag: int | str | None, g: Graph, cat, cfg: ExperimentConfig) -
         return ceil_sqrt(2 * n)
     if tag == "fourLplusK":
         if not isinstance(cat, BallCoverCat):
-            raise GraphError("fourLplusK bound needs a ball-cover cat")
+            raise GraphError(f"field {field!r}: fourLplusK bound needs a ball-cover cat")
         return cat.guarantee
     if tag == "threeHalvesK":
         K = getattr(cat, "K", None)
         if K is None:
-            raise GraphError("threeHalvesK bound needs a sphere-walk cat")
+            raise GraphError(f"field {field!r}: threeHalvesK bound needs a sphere-walk cat")
         return (3 * K + 1) // 2
     if tag == "tOver12":
         if cfg.graph.partition(":")[0].strip() != "spider":
-            raise GraphError("tOver12 bound needs a spider graph spec")
+            raise GraphError(f"field {field!r}: tOver12 bound needs a spider graph spec")
         return read_spec(cfg.graph, GRAPH_KINDS)[1]["t"] // 12
-    raise GraphError(f"unknown bound tag {tag!r}")
+    raise GraphError(f"field {field!r}: unknown bound tag {tag!r}")
 
 
 @dataclass
@@ -311,8 +314,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Report:
         raise GraphError(f"experiment bound_kind must be 'upper' or 'lower', got {cfg.bound_kind!r}")
     g, oracle, _ = corpus_graph(cfg.graph)
     probe_cat = parse_cat_spec(cfg.cat, g, oracle, default_seed=0)
-    bound_d = resolve_bound(cfg.bound_d, g, probe_cat, cfg)
-    bound_t = resolve_bound(cfg.bound_t, g, probe_cat, cfg)
+    bound_d = resolve_bound("bound_d", cfg.bound_d, g, probe_cat, cfg)
+    bound_t = resolve_bound("bound_t", cfg.bound_t, g, probe_cat, cfg)
     report = Report(
         config=cfg, config_hash=cfg.config_hash(), bound_d=bound_d, bound_t=bound_t,
         note=LOWER_BOUND_NOTE if cfg.bound_kind == "lower" else "",

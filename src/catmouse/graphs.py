@@ -12,7 +12,6 @@ whose `graph` is the graph.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 import threading
@@ -47,7 +46,7 @@ class Graph:
     Instances are immutable once constructed and safe to share across threads.
     """
 
-    __slots__ = ("n", "adjacency", "edge_count", "_arcs", "_table")
+    __slots__ = ("n", "adjacency", "edge_count")
 
     def __init__(self, n: int, edges) -> None:
         if n < 1:
@@ -70,53 +69,9 @@ class Graph:
         )
         self.n = n
         self.edge_count = len(seen)
-        self._arcs = None
-        self._table = False  # not built yet; None past TABLE_BOUND
         reached = int(np.count_nonzero(bfs_distances(self, 0) >= 0))
         if reached != n:
             raise GraphError(f"graph is disconnected ({reached} of {n} reachable)")
-
-    # A table row is as wide as the largest closed degree W, so one hub makes
-    # the table n x n (a star of 10^6 vertices passes MAX_VERTICES).  It is
-    # built only while its n * W entries stay within TABLE_BOUND times the
-    # n + 2m entries of the closed neighborhoods.  Past that the kernel's
-    # sparse cut would be below n / (TABLE_BOUND * BeliefKernel.SPARSE_FACTOR)
-    # anyway, and every step goes dense, which is exact and costs O(n + 2m).
-    # Paths, grids and random trees sit at 1-4, spider:t=12 at 4.4-4.7;
-    # spider:t=24 (8.3) and stars go dense-only.
-    TABLE_BOUND = 8
-
-    def arcs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The 2m directed arcs u -> v of the open neighborhoods as (src, dst),
-        grouped by v with u ascending, for kernels."""
-        if self._arcs is None:
-            degrees = np.fromiter(map(len, self.adjacency), dtype=np.intp, count=self.n)
-            dst = np.repeat(np.arange(self.n, dtype=np.intp), degrees)
-            src = np.fromiter(
-                itertools.chain.from_iterable(self.adjacency), dtype=np.intp, count=dst.size
-            )
-            src.flags.writeable = False
-            dst.flags.writeable = False
-            self._arcs = (src, dst)
-        return self._arcs
-
-    def closed_table(self) -> np.ndarray | None:
-        """Closed neighborhoods as a read-only (n, W) table, W the largest
-        closed degree: row v holds N[v], padded with v itself.  None when the
-        table would pass TABLE_BOUND (see above)."""
-        if self._table is False:
-            src, dst = self.arcs()
-            degrees = np.bincount(dst, minlength=self.n)
-            width = int(degrees.max()) + 1
-            if self.n * width > self.TABLE_BOUND * (self.n + src.size):
-                self._table = None
-            else:
-                table = np.repeat(np.arange(self.n, dtype=np.intp), width).reshape(self.n, width)
-                firsts = np.cumsum(degrees) - degrees
-                table[dst, 1 + np.arange(src.size) - firsts[dst]] = src
-                table.flags.writeable = False
-                self._table = table
-        return self._table
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (min, max) pairs, sorted."""

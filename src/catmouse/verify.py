@@ -73,36 +73,21 @@ def small_connected_catalog() -> tuple[Graph, ...]:
     graphs: list[Graph] = []
     for n in range(2, 6):
         pairs = list(itertools.combinations(range(n), 2))
+        bit = {(u, v): 1 << i for i, (u, v) in enumerate(pairs)}
+        bit.update({(v, u): b for (u, v), b in bit.items()})  # either order
         perms = list(itertools.permutations(range(n)))
-        index_of = {pair: i for i, pair in enumerate(pairs)}
-        remaps = []
-        for perm in perms:
-            remaps.append(
-                [
-                    index_of[tuple(sorted((perm[u], perm[v])))]
-                    for (u, v) in pairs
-                ]
-            )
         seen: set[int] = set()
         for mask in range(1 << len(pairs)):
+            edges = [pair for pair in pairs if mask & bit[pair]]
             try:
-                g = Graph(n, [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1])
+                g = Graph(n, edges)
             except GraphError:
                 continue  # disconnected
-            canon = mask
-            for remap in remaps:
-                relabeled = 0
-                sub = mask
-                while sub:
-                    low = sub & -sub
-                    relabeled |= 1 << remap[low.bit_length() - 1]
-                    sub ^= low
-                if relabeled < canon:
-                    canon = relabeled
-            if canon in seen:
-                continue
-            seen.add(canon)
-            graphs.append(g)
+            # canonical form: the least edge mask over all vertex relabelings
+            canon = min(sum(bit[p[u], p[v]] for u, v in edges) for p in perms)
+            if canon not in seen:
+                seen.add(canon)
+                graphs.append(g)
     graphs.extend(Graph(6, edges) for edges in _SIX_VERTEX_EDGE_LISTS)
     return tuple(graphs)
 
@@ -457,8 +442,9 @@ def check_lower_bound(quick: bool = False) -> tuple[bool, str]:
         return False, failure
     return True, (
         f"{runs} runs keep radius > t/12 at every step "
-        f"(implemented roster only; the universal quantifier is covered by the "
-        f"exhaustive solver on tiny instances)"
+        f"(implemented roster only; criterion 7 checks the exhaustive solver "
+        f"against engine play on graphs of at most 4 vertices, and the evader "
+        f"needs n >= 145)"
     )
 
 

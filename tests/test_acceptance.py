@@ -24,7 +24,9 @@ are shared across criteria within the process.
 import hashlib
 import json
 import re
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from catmouse import cats, engine, experiment, graphs, solver, verify
@@ -59,8 +61,8 @@ PINNED = {
     ),
     6: (
         "30 runs keep radius > t/12 at every step (implemented roster only; "
-        "the universal quantifier is covered by the exhaustive solver on "
-        "tiny instances)",
+        "criterion 7 checks the exhaustive solver against engine play on "
+        "graphs of at most 4 vertices, and the evader needs n >= 145)",
         "ac98c3d52c44ad4a292877eb601b1f2c14839570efb9a3056b2240ceae2bf414",
     ),
     7: (
@@ -135,8 +137,9 @@ def test_criterion_6_spider_evader_lower_bound(monkeypatch):
     """On spiders (t, extra) in {(12,0), (12,7), (24,0)} the evader keeps the
     belief radius above t/12 at every step against the implemented roster
     (sqrt, thin, fat, sweep, five seeded-random cats, stay).  The roster is
-    what is checked; the universal claim over all cats is covered only by
-    the exhaustive solver on tiny instances (criterion 7)."""
+    what is checked: criterion 7 checks the exhaustive solver against engine
+    play only on graphs of at most 4 vertices, and the evader needs
+    n >= 145."""
     _run(6, monkeypatch)
 
 
@@ -159,8 +162,8 @@ def _unmeetable(monkeypatch, tag: str, resolve) -> None:
     """Make the formula tag `tag` resolve through `resolve(g)` instead."""
     real = experiment.resolve_bound
 
-    def fake(t, g, cat, cfg):
-        return resolve(g) if t == tag else real(t, g, cat, cfg)
+    def fake(field, t, g, cat, cfg):
+        return resolve(g) if t == tag else real(field, t, g, cat, cfg)
 
     monkeypatch.setattr(experiment, "resolve_bound", fake)
 
@@ -315,3 +318,34 @@ def test_verify_runs_the_criteria_after_one_that_raises(monkeypatch, capsys, fmt
             (n, n not in (1, 5)) for n in range(1, 9)
         ]
         assert payload[4]["detail"] == f"raised GraphError: {THIN_RAISE}"
+
+
+def test_verify_suite_rejects_an_unknown_name():
+    with pytest.raises(ValueError, match=r"unknown suite 'nope'; choose from \['all', "):
+        verify.verify_suite("nope")
+
+
+@pytest.mark.parametrize(
+    "log, K, bound, message",
+    [
+        ([(0, 10)], 3, 5, "immediate hold but eccentricity exceeds 5"),
+        ([(0, 0), (1, 0)], 3, 5, "no phase boundary reached 5 pairs within the horizon"),
+        ([(0, 0), (5, 12)], 3, 5, "guarantee fails at boundary T=5: d(anchor, mouse) = 12 > 5"),
+        ([(0, 0), (5, 2)], 3, 5, "phase budget violated: 5 pairs at level 10"),
+        ([(0, 8), (5, 4)], 3, 5, "descent fails: 8 -> 4 with level 40 (K=3)"),
+        ([(0, 2), (5, 5)], 3, 5, "cap fails: 5 > 3K/2 with K=3"),
+        ([(0, 2), (5, 4)], 3, 5, None),
+    ],
+    ids=["eccentricity", "no boundary", "guarantee", "budget", "descent", "cap", "pass"],
+)
+def test_criterion_3_phase_checks_fail_on_doctored_logs(log, K, bound, message):
+    # A stationary mouse at vertex 0 of a path, so d(anchor, mouse) is the
+    # anchor's id; every vertex's thin level is 10 in the budget case and 40
+    # elsewhere, so each log breaks exactly one check.
+    oracle = graphs.DistanceOracle(graphs.gen_path(20))
+    level = 10 if message and message.startswith("phase budget") else 40
+    cat = SimpleNamespace(
+        K=K, phase_log=log, stop_pairs=5, levels=np.full(20, level)
+    )
+    tr = SimpleNamespace(m=[None] + [0] * 20)
+    assert verify._thin_phase_checks(oracle, cat, tr, bound) == message

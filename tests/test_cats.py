@@ -287,6 +287,8 @@ class TestBaselines:
     def test_scripted_repeats_last(self):
         cat = ScriptedCat([4, 2])
         assert drive_with_bits(cat, [1]) == [4, 2, 2]
+        with pytest.raises(GraphError, match="scripted cat needs at least one query"):
+            ScriptedCat(())
 
 
 def _spec_cat(spec):

@@ -1,13 +1,15 @@
 """Engine: feedback bits, exact belief tracking, game loop, transcripts."""
 
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catmouse import solver
+from catmouse import engine, solver
 from catmouse.cats import ScriptedCat, SeededRandomCat, StayCat, SweepCat
 from catmouse.engine import (
     BeliefKernel,
@@ -198,8 +200,8 @@ def full_csr_update(g, members, row_prev, row_cur, bit):
 @given(g=kernel_graphs())
 def test_closed_table_rows_are_closed_neighborhoods_padded_with_their_vertex(g):
     width = 1 + max(len(nbrs) for nbrs in g.adjacency)
-    table = g.closed_table()
-    if g.n * width > Graph.TABLE_BOUND * (g.n + 2 * g.edge_count):
+    table = BeliefKernel(DistanceOracle(g))._table
+    if g.n * width > BeliefKernel.TABLE_BOUND * (g.n + 2 * g.edge_count):
         assert table is None
         return
     assert table.shape == (g.n, width) and not table.flags.writeable
@@ -237,7 +239,7 @@ def test_sparse_and_dense_steps_match_full_csr_gather_and_solver(case):
     oracle = DistanceOracle(g)
     kernel = BeliefKernel(oracle)
     steps = [kernel._dense_step, kernel.update_bool]
-    if g.closed_table() is not None:
+    if kernel._table is not None:
         steps.append(kernel._sparse_step)
     else:
         kernel._sparse_step = None  # a call would raise TypeError
@@ -284,23 +286,37 @@ def test_sparse_cut_weighs_the_padded_gather_against_the_arc_scatter(g):
     # would pass the bound, so it has none and never goes sparse.
     width = 1 + max(len(nbrs) for nbrs in g.adjacency)
     work = (g.n + 2 * g.edge_count) // width
-    if g.n * width > Graph.TABLE_BOUND * (g.n + 2 * g.edge_count):
+    if g.n * width > BeliefKernel.TABLE_BOUND * (g.n + 2 * g.edge_count):
         work = 0
     assert BeliefKernel(DistanceOracle(g))._cut == -(-work // BeliefKernel.SPARSE_FACTOR)
 
 
-def test_kernels_on_one_graph_share_its_arcs():
-    # run_game builds a kernel per game; the arcs and the closed table are
-    # built once per graph.
+def test_run_game_builds_one_kernel_per_oracle(monkeypatch):
+    # The first belief-tracking game on an oracle builds its kernel and later
+    # ones reuse it; an untracked game builds none.
+    built = []
+    real_init = BeliefKernel.__init__
+    monkeypatch.setattr(
+        BeliefKernel, "__init__", lambda self, oracle: built.append(oracle) or real_init(self, oracle)
+    )
     g = gen_grid(4, 5)
-    first, second = BeliefKernel(DistanceOracle(g)), BeliefKernel(DistanceOracle(g))
-    assert np.shares_memory(first._src, second._src)
-    assert np.shares_memory(first._dst, second._dst)
-    assert np.shares_memory(first._table, second._table)
-    src, dst = g.arcs()
+    oracle = DistanceOracle(g)
+    for seed in range(3):
+        run_game(g, StayCat(g), StationaryMouse(seed), 6, oracle=oracle)
+    assert built == []
+    for seed in range(3):
+        run_game(g, SweepCat(g), RandomWalkMouse(seed), 6, track_belief=True, oracle=oracle)
+    assert built == [oracle]
+    kernel = engine._kernels[oracle]
+    src, dst = kernel._src, kernel._dst
     assert sorted(zip(src.tolist(), dst.tolist())) == sorted(
         (u, v) for v in range(g.n) for u in g.adjacency[v]
     )
+    # the kernel holds no reference to its oracle, so the map frees both
+    gone = weakref.ref(oracle)
+    del oracle, built[:]
+    gc.collect()
+    assert gone() is None and kernel not in engine._kernels.values()
 
 
 def column_gather_radius(oracle, members):

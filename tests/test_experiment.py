@@ -127,6 +127,10 @@ class TestConfigParsing:
         with pytest.raises(GraphError, match="bound_d"):
             parse_config_text(text)
 
+    def test_bad_bound_kind(self):
+        with pytest.raises(GraphError, match="line 5: bad value 'sideways' for field 'bound_kind'"):
+            parse_config_text(_FIELDS_OK + "bound_kind: sideways\nseeds: 1\n")
+
 
 _FIELDS_OK = "graph: path:n=5\ncat: sweep\nmouse: stationary\nhorizon: 4\n"
 
@@ -190,23 +194,23 @@ class TestBoundResolution:
         oracle = DistanceOracle(g)
         sqrt = parse_cat_spec("sqrt", g, oracle)
         thin = parse_cat_spec("thin:K=auto", g, oracle)
-        assert resolve_bound("sqrt32n", g, sqrt, SPIDER_UPPER) == 69
-        assert resolve_bound("sqrt2n", g, sqrt, SPIDER_UPPER) == 18
-        assert resolve_bound("tOver12", g, sqrt, SPIDER_UPPER) == 1
+        assert resolve_bound("bound_d", "sqrt32n", g, sqrt, SPIDER_UPPER) == 69
+        assert resolve_bound("bound_d", "sqrt2n", g, sqrt, SPIDER_UPPER) == 18
+        assert resolve_bound("bound_d", "tOver12", g, sqrt, SPIDER_UPPER) == 1
         assert (
-            resolve_bound("fourLplusK", g, sqrt, SPIDER_UPPER)
+            resolve_bound("bound_d", "fourLplusK", g, sqrt, SPIDER_UPPER)
             == 4 * sqrt.cover.count + sqrt.cover.radius_k
         )
-        assert resolve_bound("threeHalvesK", g, thin, SPIDER_UPPER) == (3 * thin.K + 1) // 2
-        assert resolve_bound(42, g, sqrt, SPIDER_UPPER) == 42
-        assert resolve_bound(None, g, sqrt, SPIDER_UPPER) is None
+        assert resolve_bound("bound_d", "threeHalvesK", g, thin, SPIDER_UPPER) == (3 * thin.K + 1) // 2
+        assert resolve_bound("bound_d", 42, g, sqrt, SPIDER_UPPER) == 42
+        assert resolve_bound("bound_t", None, g, sqrt, SPIDER_UPPER) is None
 
     def test_tag_strategy_mismatch(self):
         g, _ = parse_graph_spec("path:n=9")
         oracle = DistanceOracle(g)
         sweep = parse_cat_spec("sweep", g, oracle)
-        with pytest.raises(GraphError):
-            resolve_bound("fourLplusK", g, sweep, SPIDER_UPPER)
+        with pytest.raises(GraphError, match="field 'bound_d': fourLplusK bound needs"):
+            resolve_bound("bound_d", "fourLplusK", g, sweep, SPIDER_UPPER)
 
     def test_derive_seed_is_stable(self):
         assert derive_seed(1, "cat") == derive_seed(1, "cat")
@@ -275,6 +279,22 @@ class TestRunExperiment:
             horizon=4, seeds=(1, 2), bound_kind="lower", **{"bound_t": None, **bounds},
         )
         with pytest.raises(GraphError, match=message):
+            run_experiment(cfg)
+
+    def test_horizon_zero_rejected(self):
+        cfg = ExperimentConfig(
+            graph="path:n=5", cat="sweep", mouse="stationary", horizon=0, seeds=(1,),
+        )
+        with pytest.raises(GraphError, match="experiment horizon must be >= 1, got 0"):
+            run_experiment(cfg)
+
+    def test_unknown_bound_tag_names_its_field(self):
+        # A config read from text rejects the tag first; see USAGE_ERRORS.
+        cfg = ExperimentConfig(
+            graph="path:n=5", cat="sweep", mouse="stationary", horizon=3, seeds=(1,),
+            bound_d=1, bound_t="sqrt3n",
+        )
+        with pytest.raises(GraphError, match="field 'bound_t': unknown bound tag 'sqrt3n'"):
             run_experiment(cfg)
 
     def test_unknown_bound_kind_rejected(self):
@@ -483,6 +503,26 @@ USAGE_ERRORS = [
             "config bound_t 0",
             ["experiment", _config()[1].replace("bound_t: 4", "bound_t: 0")],
             "line 8: bad value '0' for field 'bound_t'",
+        ),
+        (
+            "config bound_d fourLplusK on sweep",
+            ["experiment", _config()[1].replace("bound_d: 10", "bound_d: fourLplusK")],
+            "error: field 'bound_d': fourLplusK bound needs a ball-cover cat",
+        ),
+        (
+            "config bound_t threeHalvesK on sweep",
+            ["experiment", _config()[1].replace("bound_t: 4", "bound_t: threeHalvesK")],
+            "error: field 'bound_t': threeHalvesK bound needs a sphere-walk cat",
+        ),
+        (
+            "config bound_t tOver12 on path",
+            ["experiment", _config()[1].replace("bound_t: 4", "bound_t: tOver12")],
+            "error: field 'bound_t': tOver12 bound needs a spider graph spec",
+        ),
+        (
+            "config bound_t sqrt3n",
+            ["experiment", _config()[1].replace("bound_t: 4", "bound_t: sqrt3n")],
+            "line 8: bad value 'sqrt3n' for field 'bound_t'",
         ),
         ("simulate seed 1_0", _simulate() + ["--seed", "1_0"], "--seed"),
         ("simulate seed +3", _simulate() + ["--seed", "+3"], "--seed"),

@@ -106,6 +106,10 @@ class TestGraphConstruction:
         with pytest.raises(GraphError, match="out of range"):
             Graph(2, [(0, 5)])
 
+    def test_rejects_no_vertices(self):
+        with pytest.raises(GraphError, match="graph needs at least one vertex, got n=0"):
+            Graph(0, [])
+
 
 class TestBfs:
     def test_path_p3(self):
@@ -313,6 +317,8 @@ class TestSpider:
                 assert bfs_distances(g, 0)[v] == depth
         assert sp.branch_of(g.n - 1) == 6  # padding branch
         assert sp.depth_of(g.n - 1) == 2
+        with pytest.raises(GraphError, match="no spider vertex at branch 4, depth 1"):
+            SpiderSpec(3).vertex_at(4, 1)
 
     def test_bad_spec(self):
         with pytest.raises(GraphError):
@@ -345,6 +351,8 @@ class TestGenerators:
             gen_cycle(2)
         with pytest.raises(GraphError):
             gen_grid(1, 1)
+        with pytest.raises(GraphError, match="random tree needs n >= 2, got 1"):
+            gen_random_tree(1, 0)
 
     def test_spec_strings(self):
         g, canonical = parse_graph_spec("spider:t=12,extra=0")
@@ -686,6 +694,8 @@ class TestDistanceOracle:
 
 
 def test_ceil_sqrt_exact():
+    with pytest.raises(ValueError, match="ceil_sqrt of negative number"):
+        ceil_sqrt(-1)
     assert ceil_sqrt(0) == 0
     assert ceil_sqrt(1) == 1
     assert ceil_sqrt(2) == 2

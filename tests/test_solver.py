@@ -91,6 +91,17 @@ class TestExhaustiveGameValue:
         with pytest.raises(SizeGuardError):
             exhaustive_game_value(gen_path(4), 9, 1)
 
+    def test_horizon_zero_rejected(self):
+        with pytest.raises(GraphError, match="horizon must be >= 1, got 0"):
+            exhaustive_game_value(gen_path(3), 0, 1)
+
+    def test_records_need_the_right_winner(self):
+        g = gen_path(3)
+        with pytest.raises(GraphError, match="the cat does not win this instance"):
+            winning_bit_paths(exhaustive_game_value(g, 4, -1))
+        with pytest.raises(GraphError, match="the mouse does not win this instance"):
+            adversarial_record(exhaustive_game_value(g, 4, 2), SweepCat(g), 4)
+
     def test_p4_winning_strategy_replays_through_engine(self):
         g = gen_path(4)
         for d in (0, 1, 2):
