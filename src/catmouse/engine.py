@@ -265,9 +265,9 @@ class Transcript:
 
 def mask_radius(oracle: DistanceOracle, members: np.ndarray) -> tuple[int, int]:
     """Exact radius and lowest-id center of a non-empty believed set given as
-    a bool array (`DistanceOracle.set_radius`); rows come from the oracle's
-    cache, or from its matrix when a caller built one."""
-    return oracle.set_radius(np.flatnonzero(members))
+    a bool mask of shape (n,) (`DistanceOracle.set_radius`); rows come from
+    the oracle's cache, or from its matrix when a caller built one."""
+    return oracle.set_radius(members)
 
 
 # One kernel per oracle, built by its first belief-tracking game; a weak key

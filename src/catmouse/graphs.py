@@ -230,48 +230,57 @@ class DistanceOracle:
         return self._diameter
 
     def set_radius(self, members: np.ndarray) -> tuple[int, int]:
-        """Exact radius and lowest-id center of a non-empty vertex set, given
-        as ascending ids: the least ecc_M(v) = max over w in M of d(v, w),
-        over all v.
+        """Exact radius and lowest-id center of a non-empty vertex set M,
+        given as a bool mask of shape (n,): the least ecc_M(v) = max over w
+        in M of d(v, w), over all v.
 
         Eccentricity-bound pruning (Takes & Kosters 2013): lb(v) is the max
         of d(x, v) over some members x, so lb(v) <= ecc_M(v).  It starts from
-        a double sweep, members a, b (farthest from a in M) and c (farthest
-        from b), and takes in the member farthest from each evaluated vertex
-        whose bound fell short.  Vertices are evaluated in (lb, id) order
-        until the next cannot beat the best (ecc, id) so far, so the center
-        is the lowest id.  Where the bound cannot cut, after
+        a double sweep, members a (the lowest id), b (farthest from a in M)
+        and c (farthest from b), and takes in the member farthest from each
+        evaluated vertex whose bound fell short.  Vertices are evaluated in
+        (lb, id) order until the next cannot beat the best (ecc, id) so far,
+        so the center is the lowest id; an evaluated vertex whose ecc equals
+        its lb ends the search at once, since it was the least (lb, id) and
+        raised no bound.  Where the bound cannot cut, after
         `radius_eval_budget` evaluations, the elementwise max of the members'
         rows gives every ecc_M at once (distance is symmetric).  The result
         for M = V is cached.
         """
         n = self.graph.n
-        if members.size == 0 or members.min() < 0 or members.max() >= n:
-            raise GraphError(f"set radius needs a non-empty set of ids in 0..{n - 1}")
-        whole = members.size == n and np.array_equal(members, np.arange(n))
+        if members.dtype != bool or members.shape != (n,):
+            raise GraphError(
+                f"set radius needs a bool mask of shape ({n},), "
+                f"got {members.dtype} of shape {members.shape}"
+            )
+        ids = members.nonzero()[0]
+        if ids.size == 0:
+            raise GraphError(f"set radius needs a non-empty bool mask of shape ({n},)")
+        whole = ids.size == n
         if whole and self._radius is not None:
             return self._radius
-        row_a = self.row(int(members[0]))
-        row_b = self.row(int(members[row_a[members].argmax()]))
-        row_c = self.row(int(members[row_b[members].argmax()]))
-        lb = np.maximum(np.maximum(row_a, row_b), row_c)
-        done = np.int32(n)  # above every distance: marks an evaluated vertex
+        row_a = self.row(int(ids[0]))
+        row_b = self.row(int(ids[row_a[ids].argmax()]))
+        row_c = self.row(int(ids[row_b[ids].argmax()]))
+        lb = np.maximum(row_a, row_b)
+        np.maximum(lb, row_c, out=lb)
         best, center = n, n
         for _ in range(self.radius_eval_budget):
             v = int(lb.argmin())
             bound = int(lb[v])
             if bound > best or (bound == best and v > center):
                 break
-            far = self.row(v)[members]
+            far = self.row(v)[ids]
             e = int(far.max())
             if e < best or (e == best and v < center):
                 best, center = e, v
-            if e > bound:
-                np.maximum(lb, self.row(int(members[far.argmax()])), out=lb)
-            lb[v] = done
+            if e == bound:
+                break
+            np.maximum(lb, self.row(int(ids[far.argmax()])), out=lb)
+            lb[v] = n  # above every distance: marks v evaluated
         else:
             ecc = np.zeros(n, dtype=np.int32)
-            for w in members.tolist():
+            for w in ids.tolist():
                 np.maximum(ecc, self.row(w), out=ecc)
             center = int(ecc.argmin())
             best = int(ecc[center])
@@ -363,16 +372,23 @@ def scattered_cover(oracle: DistanceOracle, separation: int) -> BallCover:
 
     Scans vertices in ascending id and keeps v when it is at distance >=
     separation from every center chosen so far.  Maximality puts every vertex
-    within separation - 1 of some center, so radius_k = separation - 1.
+    within separation - 1 of some center, so radius_k = separation - 1.  The
+    scan is one compare over the ids after the last center, which finds the
+    next, and one row read per center.
     """
     if separation < 1:
         raise GraphError(f"separation must be >= 1, got {separation}")
     nearest = oracle.row(0).copy()
     centers = [0]
-    for v in range(1, oracle.graph.n):
-        if nearest[v] >= separation:
-            centers.append(v)
-            np.minimum(nearest, oracle.row(v), out=nearest)
+    v = 0
+    while v + 1 < oracle.graph.n:
+        far = nearest[v + 1 :] >= separation
+        step = int(far.argmax())
+        if not far[step]:
+            break
+        v += 1 + step
+        centers.append(v)
+        np.minimum(nearest, oracle.row(v), out=nearest)
     return BallCover(centers=tuple(centers), radius_k=separation - 1)
 
 

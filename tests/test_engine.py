@@ -330,7 +330,8 @@ def column_gather_radius(oracle, members):
 
 @st.composite
 def radius_cases(draw):
-    kind = draw(st.sampled_from(("tree", "chords", "cycle", "grid")))
+    kind = draw(st.sampled_from(("tree", "chords", "cycle", "grid", "path ends", "antipodes")))
+    members = None
     if kind in ("tree", "chords"):
         g = gen_random_tree(draw(st.integers(2, 40)), draw(st.integers(0, 2**20)))
         if kind == "chords":
@@ -339,14 +340,23 @@ def radius_cases(draw):
             g = Graph(g.n, sorted(set(g.edges()) | extra))
     elif kind == "cycle":
         g = gen_cycle(draw(st.integers(3, 120)))
-    else:
+    elif kind == "grid":
         g = gen_grid(draw(st.integers(1, 8)), draw(st.integers(2, 8)))
-    size = draw(st.sampled_from(("one", "all", "some")))
+    elif kind == "path ends":
+        # the two middle vertices of an even path tie on the least bound
+        g = gen_path(2 * draw(st.integers(1, 60)))
+        members = {0, g.n - 1}
+    else:
+        # two antipodes of an even cycle: both vertices halfway between tie
+        g = gen_cycle(2 * draw(st.integers(2, 60)))
+        x = draw(st.integers(0, g.n - 1))
+        members = {x, (x + g.n // 2) % g.n}
+    size = "given" if members is not None else draw(st.sampled_from(("one", "all", "some")))
     if size == "one":
         members = {draw(st.integers(0, g.n - 1))}
     elif size == "all":
         members = set(range(g.n))
-    else:
+    elif size == "some":
         members = draw(st.sets(st.integers(0, g.n - 1), min_size=1))
     return g, members, draw(st.sampled_from((1, 2, 5, 64))), draw(st.booleans())
 
@@ -355,10 +365,12 @@ def radius_cases(draw):
 @given(case=radius_cases())
 def test_mask_radius_matches_column_gather_and_solver(case):
     """Pruned radius and centre equal the column gather's on any non-empty
-    set of a tree, a tree with chords, a cycle or a grid, under any
-    evaluation budget (a budget of 1 always takes the dense fallback), with
-    or without the matrix; the radius also equals the solver's brute force
-    on graphs it accepts."""
+    set of a tree, a tree with chords, a cycle or a grid, and on sets where
+    several vertices tie on the least lower bound (the centre is the lowest
+    of them), under any evaluation budget (a budget of 1 always takes the
+    dense fallback), with or without the matrix, through `mask_radius` and
+    `set_radius` alike; the radius also equals the solver's brute force on
+    graphs it accepts."""
     g, members, budget, with_matrix = case
     arr = np.zeros(g.n, dtype=bool)
     arr[list(members)] = True
@@ -369,6 +381,7 @@ def test_mask_radius_matches_column_gather_and_solver(case):
     got = mask_radius(oracle, arr)
     assert got == column_gather_radius(DistanceOracle(g), arr)
     assert mask_radius(oracle, arr) == got  # the cached M = V answer too
+    assert oracle.set_radius(arr) == got
     if g.n <= solver.GameSolver.MAX_N:
         assert got[0] == solver._radius_of(g, solver._DistCache(g), sorted(members))
 
@@ -407,16 +420,28 @@ def test_mask_radius_of_whole_graph_is_cached_per_oracle():
 
 
 def test_mask_radius_rejects_empty_and_out_of_range_sets():
+    # The set is a bool mask of shape (n,).  An all-False mask is empty; an
+    # id array (one holding -1 is never wrapped), a non-bool array and a mask
+    # of any other shape are refused, each naming the shape it needs.
     oracle = DistanceOracle(gen_path(5))
-    with pytest.raises(GraphError, match="non-empty set of ids in 0..4"):
+    with pytest.raises(GraphError, match=r"non-empty bool mask of shape \(5,\)"):
         mask_radius(oracle, np.zeros(5, dtype=bool))
-    for ids in ([-1, 2], [3, 5]):
-        with pytest.raises(GraphError, match="non-empty set of ids in 0..4"):
-            oracle.set_radius(np.array(ids))
-    # out of range in the middle of an unsorted set: -1 must not wrap to 9
-    for g, ids in ((gen_cycle(10), [0, -1, 5]), (gen_path(10), [5, 12, 3])):
-        with pytest.raises(GraphError, match="non-empty set of ids in 0..9"):
-            DistanceOracle(g).set_radius(np.array(ids))
+    refused = (
+        np.array([-1, 2]),
+        np.array([3, 5]),
+        np.array([0, -1, 2, 3, 4]),
+        np.ones(5, dtype=np.int8),
+        np.ones(5),
+        np.ones(4, dtype=bool),
+        np.ones(6, dtype=bool),
+        np.ones((1, 5), dtype=bool),
+    )
+    for arr in refused:
+        with pytest.raises(GraphError, match=r"bool mask of shape \(5,\)"):
+            oracle.set_radius(arr)
+    # a bool array is read as a mask, never as ids: True is not vertex 1
+    ends = np.array([True, False, False, False, True])
+    assert oracle.set_radius(ends) == (2, 2)
 
 
 def _kernel_keeping(kept):

@@ -158,12 +158,21 @@ class TestSetRadius:
         assert radius_of_set(g, range(5)) == (2, 2)
 
     def test_duplicate_ids_do_not_poison_the_whole_set_cache(self):
-        # n ids with repeats are not V: their radius is that of {0, 1, 2},
-        # and the cached radius of V stays that of V.
+        # Only the all-True mask is V.  n ids with repeats are refused, not
+        # read as V, and the radii of {0, 1, 2} and of V minus {4} never
+        # stand in for the cached radius of V, nor it for them.
         oracle = DistanceOracle(gen_path(5))
-        assert oracle.set_radius(np.array([0, 1, 2, 0, 1])) == (1, 1)
-        assert oracle.set_radius(np.arange(5)) == (2, 2)
-        assert oracle.set_radius(np.array([0, 1, 2, 0, 1])) == (1, 1)
+        with pytest.raises(GraphError, match=r"bool mask of shape \(5,\)"):
+            oracle.set_radius(np.array([0, 1, 2, 0, 1]))
+        low = np.array([True, True, True, False, False])
+        most = np.array([True, True, True, True, False])
+        whole = np.ones(5, dtype=bool)
+        assert oracle.set_radius(low) == (1, 1)
+        assert oracle.set_radius(most) == (2, 1)
+        assert oracle.set_radius(whole) == (2, 2)
+        assert oracle.set_radius(low) == (1, 1)
+        assert oracle.set_radius(most) == (2, 1)
+        assert oracle.set_radius(whole) == (2, 2)
 
     @pytest.mark.parametrize("g", CORPUS)
     def test_matches_exhaustive_oracle(self, g):
@@ -208,6 +217,33 @@ class TestSphere:
             sphere(DistanceOracle(gen_path(5)), 0, -1)
 
 
+@st.composite
+def graph_cases(draw):
+    """A random tree, a tree with chords, a cycle or a grid."""
+    kind = draw(st.sampled_from(("tree", "chords", "cycle", "grid")))
+    if kind in ("tree", "chords"):
+        g = gen_random_tree(draw(st.integers(2, 40)), draw(st.integers(0, 2**20)))
+        if kind == "chords":
+            pairs = st.tuples(st.integers(0, g.n - 1), st.integers(0, g.n - 1))
+            extra = {(min(p), max(p)) for p in draw(st.lists(pairs, max_size=20)) if p[0] != p[1]}
+            g = Graph(g.n, sorted(set(g.edges()) | extra))
+    elif kind == "cycle":
+        g = gen_cycle(draw(st.integers(3, 120)))
+    else:
+        g = gen_grid(draw(st.integers(1, 8)), draw(st.integers(2, 8)))
+    return g
+
+
+def hand_scan_cover(oracle: DistanceOracle, separation: int) -> tuple[int, ...]:
+    """Reference for `scattered_cover`: every vertex in ascending id, kept
+    when it is at distance >= separation from each one kept before."""
+    chosen = []
+    for v in range(oracle.graph.n):
+        if all(oracle.distance(v, c) >= separation for c in chosen):
+            chosen.append(v)
+    return tuple(chosen)
+
+
 class TestScatteredCover:
     def test_separation_one_takes_everything(self):
         cover = scattered_cover(DistanceOracle(gen_path(7)), 1)
@@ -237,14 +273,22 @@ class TestScatteredCover:
         assert cover.count <= max(1, 2 * g.n // separation)
 
     def test_greedy_matches_hand_scan(self):
-        g = gen_grid(4, 5)
+        oracle = DistanceOracle(gen_grid(4, 5))
+        assert scattered_cover(oracle, 3).centers == hand_scan_cover(oracle, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=graph_cases(), pick=st.sampled_from((1, 2, 5, "diameter", "diameter + 1", 10**20)))
+    def test_slice_scan_matches_hand_scan(self, g, pick):
+        # the diameter makes the last vertex of a path a centre; above it
+        # (and at 10**20) the cover is vertex 0 alone
         oracle = DistanceOracle(g)
-        separation = 3
-        chosen = []
-        for v in range(g.n):
-            if all(oracle.distance(v, c) >= separation for c in chosen):
-                chosen.append(v)
-        assert scattered_cover(oracle, separation).centers == tuple(chosen)
+        if pick == "diameter":
+            separation = oracle.diameter()
+        elif pick == "diameter + 1":
+            separation = oracle.diameter() + 1
+        else:
+            separation = pick
+        assert scattered_cover(oracle, separation).centers == hand_scan_cover(oracle, separation)
 
     def test_bad_separation(self):
         with pytest.raises(GraphError):
